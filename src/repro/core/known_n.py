@@ -69,9 +69,10 @@ class KnownNQuantiles:
         )
         self._rng = rng if rng is not None else self._backend.make_rng(seed)
         self._sampler = BlockSampler(rate=plan.rate, rng=self._rng)
-        # replint: disable=buffer-arena -- O(k) staging for the buffer
-        # currently filling; deposit copies it into the arena at k elements
-        self._staged: list[float] = []
+        # The buffer currently filling: k float64 slots outside the arena,
+        # the first ``_fill`` of them staged; deposit copies it in at k.
+        self._staged = self._backend.alloc_values(plan.k)
+        self._fill = 0
         self._n = 0
         self._extras_cache: MergedView | None = None
         self._extras_cache_key: tuple[int, int] = (-1, -1)
@@ -93,10 +94,11 @@ class KnownNQuantiles:
         chosen = self._sampler.offer(value)
         if chosen is None:
             return
-        self._staged.append(chosen)
-        if len(self._staged) == self._engine.k:
+        self._staged[self._fill] = chosen
+        self._fill += 1
+        if self._fill == self._engine.k:
             self._engine.deposit(self._staged, self._plan.rate, level=0)
-            self._staged = []
+            self._fill = 0
 
     def extend(self, values: Iterable[float]) -> None:
         """Consume many stream elements.
@@ -129,7 +131,7 @@ class KnownNQuantiles:
         index = 0
         while index < total:
             needed = (
-                (self._engine.k - len(self._staged)) * rate
+                (self._engine.k - self._fill) * rate
                 - self._sampler.seen_in_block
             )
             stop = min(index + needed, total)
@@ -138,17 +140,20 @@ class KnownNQuantiles:
             )
             self._n += stop - index
             index = stop
-            if not self._staged and len(chosen) == self._engine.k:
+            if not self._fill and len(chosen) == self._engine.k:
                 # Whole-buffer window: deposit the backend-native result
                 # into the arena without a staging copy.
                 self._engine.deposit(chosen, rate, level=0)
             elif len(chosen):
-                # replint: disable=buffer-arena -- cold path: the window
-                # straddled an open block, so the partial result is staged
-                self._staged.extend(self._backend.tolist(chosen))
-                if len(self._staged) == self._engine.k:
+                # The window straddles a buffer boundary: stage its
+                # representatives with one columnar slot write.
+                self._backend.write_slot(
+                    self._staged, self._fill, chosen, sort=False
+                )
+                self._fill += len(chosen)
+                if self._fill == self._engine.k:
                     self._engine.deposit(self._staged, rate, level=0)
-                    self._staged = []
+                    self._fill = 0
 
     # ------------------------------------------------------------------
     # Checkpointing (see repro.persist for the durable file format)
@@ -173,7 +178,7 @@ class KnownNQuantiles:
             "engine": self._engine.state_dict(),
             "rng": rng_state_dict(self._rng),
             "sampler": self._sampler.state_dict(),
-            "staged": list(self._staged),
+            "staged": list(self._staged_values()),
             "n": self._n,
         }
 
@@ -201,17 +206,24 @@ class KnownNQuantiles:
         )
         est._rng = rng_from_state(state["rng"])
         est._sampler = BlockSampler.from_state_dict(state["sampler"], est._rng)
-        est._staged = [float(v) for v in state["staged"]]
+        est._backend.write_slot(est._staged, 0, state["staged"], sort=False)
+        est._fill = len(state["staged"])
         est._n = int(state["n"])
         return est
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def _staged_values(self) -> Sequence[float]:
+        """View of the staged representatives of the buffer filling now."""
+        return self._backend.slot_view(self._staged, 0, self._fill)
+
     def _extras(self) -> list[tuple[Sequence[float], int]]:
         extras: list[tuple[Sequence[float], int]] = []
-        if self._staged:
-            extras.append((sorted(self._staged), self._plan.rate))
+        if self._fill:
+            extras.append(
+                (self._backend.sort_values(self._staged_values()), self._plan.rate)
+            )
         pending = self._sampler.pending()
         if pending is not None:
             candidate, seen = pending
@@ -263,7 +275,7 @@ class KnownNQuantiles:
     def memory_bytes(self) -> int:
         """Peak bytes held: the engine's ``b*k*8`` arena + O(b) metadata
         + the in-flight staging elements."""
-        return self._engine.memory_bytes + FLOAT_BYTES * len(self._staged)
+        return self._engine.memory_bytes + FLOAT_BYTES * self._fill
 
     @property
     def total_weight(self) -> int:

@@ -67,8 +67,8 @@ class EstimatorSnapshot:
     """
 
     full_buffers: list[tuple[Sequence[float], int]]
-    # replint: disable=buffer-arena -- the staged field mirrors the O(k)
-    # staging list below; the full buffers above are the columnar payload
+    # replint: disable=buffer-arena -- the snapshot ships its O(k) staged
+    # representatives as a sorted list; the full buffers are the columnar payload
     staged: list[float]
     rate: int
     pending: tuple[float, int] | None
@@ -144,9 +144,10 @@ class UnknownNQuantiles:
         )
         self._rng = rng if rng is not None else self._backend.make_rng(seed)
         self._sampler = BlockSampler(rate=1, rng=self._rng)
-        # replint: disable=buffer-arena -- O(k) staging for the buffer
-        # currently filling; deposit copies it into the arena at k elements
-        self._staged: list[float] = []
+        # The buffer currently filling: k float64 slots outside the arena,
+        # the first ``_fill`` of them staged; deposit copies it in at k.
+        self._staged = self._backend.alloc_values(plan.k)
+        self._fill = 0
         self._n = 0
         self._rate = 1
         self._level = 0
@@ -167,11 +168,10 @@ class UnknownNQuantiles:
         chosen = self._sampler.offer(value)
         if chosen is None:
             return
-        self._staged.append(chosen)
-        if len(self._staged) == self._engine.k:
-            self._engine.deposit(self._staged, self._rate, self._level)
-            self._staged = []
-            self._new_pending = True
+        self._staged[self._fill] = chosen
+        self._fill += 1
+        if self._fill == self._engine.k:
+            self._deposit_staged()
 
     def extend(self, values: Iterable[float]) -> None:
         """Consume many stream elements.
@@ -209,7 +209,7 @@ class UnknownNQuantiles:
                 self._begin_new()
             # Elements this New operation can still absorb.
             needed = (
-                (self._engine.k - len(self._staged)) * self._rate
+                (self._engine.k - self._fill) * self._rate
                 - self._sampler.seen_in_block
             )
             stop = min(index + needed, total)
@@ -218,20 +218,27 @@ class UnknownNQuantiles:
             )
             self._n += stop - index
             index = stop
-            if not self._staged and len(chosen) == self._engine.k:
+            if not self._fill and len(chosen) == self._engine.k:
                 # Steady state: the window resolved a whole buffer of
                 # representatives in backend-native form — straight into
                 # the arena, no staging copy.
                 self._engine.deposit(chosen, self._rate, self._level)
                 self._new_pending = True
             elif len(chosen):
-                # replint: disable=buffer-arena -- cold path: the window
-                # straddled an open block, so the partial result is staged
-                self._staged.extend(self._backend.tolist(chosen))
-                if len(self._staged) == self._engine.k:
-                    self._engine.deposit(self._staged, self._rate, self._level)
-                    self._staged = []
-                    self._new_pending = True
+                # The window straddles a buffer boundary: stage its
+                # representatives with one columnar slot write.
+                self._backend.write_slot(
+                    self._staged, self._fill, chosen, sort=False
+                )
+                self._fill += len(chosen)
+                if self._fill == self._engine.k:
+                    self._deposit_staged()
+
+    def _deposit_staged(self) -> None:
+        """Complete the New operation whose buffer filled in staging."""
+        self._engine.deposit(self._staged, self._rate, self._level)
+        self._fill = 0
+        self._new_pending = True
 
     def _begin_new(self) -> None:
         """Start a New operation: free a buffer, then fix its rate and level.
@@ -255,11 +262,17 @@ class UnknownNQuantiles:
     # ------------------------------------------------------------------
     # Queries (Output; any time, non-destructive)
     # ------------------------------------------------------------------
+    def _staged_values(self) -> Sequence[float]:
+        """View of the staged representatives of the buffer filling now."""
+        return self._backend.slot_view(self._staged, 0, self._fill)
+
     def _extras(self) -> list[tuple[Sequence[float], int]]:
         """In-flight sample elements as weighted pseudo-buffers."""
         extras: list[tuple[Sequence[float], int]] = []
-        if self._staged:
-            extras.append((sorted(self._staged), self._rate))
+        if self._fill:
+            extras.append(
+                (self._backend.sort_values(self._staged_values()), self._rate)
+            )
         pending = self._sampler.pending()
         if pending is not None:
             candidate, seen = pending
@@ -335,7 +348,7 @@ class UnknownNQuantiles:
     def memory_bytes(self) -> int:
         """Peak bytes held: the engine's ``b*k*8`` arena + O(b) metadata
         + the in-flight staging elements."""
-        return self._engine.memory_bytes + FLOAT_BYTES * len(self._staged)
+        return self._engine.memory_bytes + FLOAT_BYTES * self._fill
 
     @property
     def total_weight(self) -> int:
@@ -383,7 +396,7 @@ class UnknownNQuantiles:
             "engine": self._engine.state_dict(),
             "rng": rng_state_dict(self._rng),
             "sampler": self._sampler.state_dict(),
-            "staged": list(self._staged),
+            "staged": list(self._staged_values()),
             "n": self._n,
             "rate": self._rate,
             "level": self._level,
@@ -416,7 +429,8 @@ class UnknownNQuantiles:
         )
         est._rng = rng_from_state(state["rng"])
         est._sampler = BlockSampler.from_state_dict(state["sampler"], est._rng)
-        est._staged = [float(v) for v in state["staged"]]
+        est._backend.write_slot(est._staged, 0, state["staged"], sort=False)
+        est._fill = len(state["staged"])
         est._n = int(state["n"])
         est._rate = int(state["rate"])
         est._level = int(state["level"])
@@ -435,7 +449,7 @@ class UnknownNQuantiles:
                 (_columnar(buf.data), buf.weight)
                 for buf in self._engine.full_buffers()
             ],
-            staged=sorted(self._staged),
+            staged=sorted(self._staged_values()),
             rate=self._rate,
             pending=pending,
             n=self._n,

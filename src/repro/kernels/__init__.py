@@ -4,7 +4,7 @@ The paper's pitch is that sampling + buffer-collapse makes quantile
 summaries cheap enough to run inline with heavy scan traffic; the
 asymptotics being settled, the remaining wins are constant factors.  This
 package concentrates the per-element work of the whole library into a
-small kernel surface with two interchangeable backends:
+small kernel surface with three interchangeable backends:
 
 * ``python`` — pure standard library, dependency-free, bit-identical to
   the historical element-at-a-time implementation.  Always available and
@@ -13,16 +13,17 @@ small kernel surface with two interchangeable backends:
   blocks, argsort/cumsum/searchsorted Collapse, ``np.sort`` buffers).
   Selected with ``backend="numpy"`` on any estimator or via the
   ``REPRO_BACKEND`` environment variable; optional, and
-
   distribution-identical to the python backend (property-tested).
 * ``native`` — the compiled C extension (``repro.kernels._native``,
   built by ``setup.py``): the three hot kernels run directly against
-  the arena's buffer protocol with no per-element python objects.
+  the arena's buffer protocol with no per-element python objects, and
+  Collapse and merged views share one branch-free merge network.
   Selected the same two ways; optional (requires the compiled module),
   and *bit-identical* to the python backend under a shared seed (it
-  uses the same :class:`random.Random` kind and draw law).  When the
-  extension is missing, an environment-variable request degrades to
-  numpy (then python) with a warning; an explicit request raises
+  uses the same :class:`random.Random` kind, draw law and merge tie
+  law, down to the cumulative weights).  When the extension is
+  missing, an environment-variable request degrades to numpy (then
+  python) with a warning; an explicit request raises
   :class:`BackendUnavailableError` naming the build remedy.
 
 The kernel surface (see :class:`KernelBackend`):

@@ -3,9 +3,11 @@
  * Implements the library's three hot kernels directly against the buffer
  * protocol of the columnar arena (repro.core.arena): batch block sampling
  * with the reference per-position draw law ``int(rng.random() * rate)``,
- * the gcd-replication-equivalent Collapse keep-selection as a merge of
- * sorted weighted runs plus a cumulative-weight walk, and the merged
- * weighted view / rank walk behind ``query_many``.
+ * and one merge network over sorted weighted runs (branch-free pairwise
+ * merges, whatever the run count) whose last level is either the
+ * Collapse keep walk (the gcd-replication-equivalent selection of
+ * Section 3.2) or the cumulative-weight pass of the merged view that
+ * ``query_many``'s rank walk searches.
  *
  * Contracts (mirrored by repro.kernels.native_backend, property-tested
  * against the pure-python reference backend):
@@ -708,242 +710,203 @@ native_write_slot(PyObject *self, PyObject *args)
 }
 
 /* ------------------------------------------------------------------ */
-/* Kernel 2 + 3 shared core: merge of sorted weighted runs             */
+/* Kernel 2 + 3 shared core: a merge network over sorted weighted runs */
 /* ------------------------------------------------------------------ */
 
-/* A loser tree over sorted weighted runs: one pop per merged element
- * with log2(nruns) comparisons and no intermediate materialisation.
- * The merge order is the reference backend's exactly — it sorts
- * (value, weight) tuples with a stable sort over inputs in order, so
- * ties break by value, then *weight*, then input position.  Exhausted
- * runs hold the sentinel (+inf, INT64_MAX, PY_SSIZE_T_MAX): a *real*
- * +inf in a live run still wins the tie on the later fields, so
- * sentinels only surface after every element has been popped (callers
- * stop at the known total). */
+/* The reference backend merges by a stable sort of (value, weight)
+ * tuples over the inputs in order, so equal values break ties by
+ * weight, then by input position.  The network reproduces that law by
+ * construction: it orders the runs by (weight, input position) once,
+ * then merges adjacent groups pairwise with a stable two-way merge in
+ * which the left group wins ties.  Each group's elements therefore stay
+ * in (value, run rank) order at every level, and the last level emits
+ * exactly the reference sequence, cumulative weights included. */
+
+/* A sorted run of the network: values plus a weight per element, or
+ * one weight shared by the whole run (an input buffer). */
 typedef struct {
-    double v;
-    int64_t w;
-    Py_ssize_t run;
-} mergehead;
+    const double *v;
+    const int64_t *w;
+    Py_ssize_t wmask;       /* -1: element i weighs w[i]; 0: all weigh w[0] */
+    Py_ssize_t len;
+} wrun;
 
-#define LT_STACK_RUNS 64
+/* Where a two-way merge sends its elements.  An inner level stores
+ * (value, weight) pairs, merge_weighted's last level (value, cumulative
+ * weight), and select_collapse's last level keeps the values at which
+ * the cumulative weight first reaches position, position + stride, ...
+ * Each element is written at slot ``o``, which moves on only when the
+ * element is kept (outside the keep walk: always); output stops once
+ * ``cap`` elements are out. */
+enum { SINK_PAIRS, SINK_CUMULATIVE, SINK_KEEP };
 
 typedef struct {
-    const f64view *runs;
-    const int64_t *weights;
-    Py_ssize_t nruns;
-    Py_ssize_t size;        /* leaf count: power of two >= nruns */
-    Py_ssize_t winner;
-    mergehead *h;           /* heads[size] */
-    Py_ssize_t *l;          /* losers[size] (node 0 unused) */
-    Py_ssize_t *c;          /* cursors[nruns] */
-    void *heap;             /* non-NULL when spilled past the stack */
-    int heap_from_scratch;  /* heap borrows lt_scratch (don't free) */
-    mergehead heads_stack[LT_STACK_RUNS];
-    Py_ssize_t losers_stack[LT_STACK_RUNS];
-    Py_ssize_t cursors_stack[LT_STACK_RUNS];
-} losertree;
+    double *v;
+    int64_t *w;             /* unused by SINK_KEEP */
+    Py_ssize_t o, cap;
+    int64_t cum, position, stride;
+} wsink;
 
-/* Grow-only scratch for loser trees too wide for the stack arrays.  One
- * process-wide arena, same discipline as sort_scratch: the GIL
- * serialises callers, the buffer only grows, and the static pointer
- * keeps it reachable for leak checkers.  The busy flag covers re-entry
- * (two live trees at once): the inner tree falls back to a private
- * allocation instead of clobbering the outer one. */
-static void *lt_scratch = NULL;
-static Py_ssize_t lt_scratch_cap = 0;   /* bytes */
-static int lt_scratch_busy = 0;
+#if defined(__GNUC__)
+#define REPRO_INLINE static inline __attribute__((always_inline))
+#else
+#define REPRO_INLINE static inline
+#endif
+
+REPRO_INLINE void
+sink_put(wsink *s, const int mode, double v, int64_t w)
+{
+    s->v[s->o] = v;
+    if (mode == SINK_PAIRS) {
+        s->w[s->o++] = w;
+        return;
+    }
+    s->cum += w;
+    if (mode == SINK_CUMULATIVE) {
+        s->w[s->o++] = s->cum;
+        return;
+    }
+    /* Each element keeps at most once: when it does, the position
+     * overshoots it, since every run weight is at most the stride. */
+    Py_ssize_t keep = s->position <= s->cum;
+    s->position += s->stride & -(int64_t)keep;
+    s->o += keep;
+}
+
+/* Stable two-way merge of ``a`` and ``b`` into ``out``; a's elements
+ * win ties.  The loop has no data-dependent branch: the smaller head is
+ * a min, its weight a masked select, and each cursor advances by the
+ * comparison bit.  The run fields are copied to locals because the
+ * int64 stores could alias them. */
+REPRO_INLINE void
+merge2(const wrun *a, const wrun *b, wsink *out, const int mode)
+{
+    const double *av = a->v, *bv = b->v;
+    const int64_t *aw = a->w, *bw = b->w;
+    const Py_ssize_t am = a->wmask, bm = b->wmask, na = a->len, nb = b->len;
+    wsink s = *out;
+    Py_ssize_t i = 0, j = 0;
+    while (i < na && j < nb && s.o < s.cap) {
+        double x = av[i], y = bv[j];
+        int64_t wx = aw[i & am], wy = bw[j & bm];
+        Py_ssize_t take_b = y < x;
+        sink_put(&s, mode, y < x ? y : x,
+                 wx ^ ((wx ^ wy) & -(int64_t)take_b));
+        i += 1 - take_b;
+        j += take_b;
+    }
+    for (; i < na && s.o < s.cap; i++)
+        sink_put(&s, mode, av[i], aw[i & am]);
+    for (; j < nb && s.o < s.cap; j++)
+        sink_put(&s, mode, bv[j], bw[j & bm]);
+    *out = s;
+}
+
+/* Grow-only scratch of the network: the run table plus two ping-pong
+ * levels of (value, weight) pairs.  One process-wide arena, same
+ * discipline as sort_scratch: the GIL serialises callers, the buffer
+ * only grows, and the static pointer keeps it reachable for leak
+ * checkers.  The busy flag covers re-entry (two live networks at once):
+ * the inner one takes a private allocation instead. */
+static void *net_scratch = NULL;
+static Py_ssize_t net_scratch_cap = 0;  /* bytes */
+static int net_scratch_busy = 0;
 
 static int
-lt_scratch_reserve(size_t need)
+net_scratch_reserve(Py_ssize_t need)
 {
-    if ((Py_ssize_t)need <= lt_scratch_cap)
+    if (need <= net_scratch_cap)
         return 0;
-    Py_ssize_t cap = lt_scratch_cap > 0 ? lt_scratch_cap : 4096;
-    while ((size_t)cap < need)
+    Py_ssize_t cap = net_scratch_cap > 0 ? net_scratch_cap : 4096;
+    while (cap < need)
         cap *= 2;
-    void *grown = PyMem_Realloc(lt_scratch, (size_t)cap);
+    void *grown = PyMem_Realloc(net_scratch, (size_t)cap);
     if (grown == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    lt_scratch = grown;
-    lt_scratch_cap = cap;
+    net_scratch = grown;
+    net_scratch_cap = cap;
     return 0;
 }
 
-static inline int
-head_less(const mergehead *a, const mergehead *b)
-{
-    if (a->v != b->v)
-        return a->v < b->v;
-    if (a->w != b->w)
-        return a->w < b->w;
-    return a->run < b->run;
-}
-
-static void
-lt_set_head(losertree *t, Py_ssize_t leaf)
-{
-    if (leaf < t->nruns && t->c[leaf] < t->runs[leaf].len) {
-        t->h[leaf].v = t->runs[leaf].data[t->c[leaf]];
-        t->h[leaf].w = t->weights[leaf];
-        t->h[leaf].run = leaf;
-    }
-    else {
-        t->h[leaf].v = Py_HUGE_VAL;
-        t->h[leaf].w = INT64_MAX;
-        t->h[leaf].run = PY_SSIZE_T_MAX;
-    }
-}
-
-static Py_ssize_t
-lt_build(losertree *t, Py_ssize_t node)
-{
-    if (node >= t->size)
-        return node - t->size;
-    Py_ssize_t wl = lt_build(t, 2 * node);
-    Py_ssize_t wr = lt_build(t, 2 * node + 1);
-    if (head_less(&t->h[wl], &t->h[wr])) {
-        t->l[node] = wr;
-        return wl;
-    }
-    t->l[node] = wl;
-    return wr;
-}
-
+/* Merge ``nruns`` sorted runs (run i's elements all weigh weights[i],
+ * ``total`` elements in all) into ``sink`` through the network.  Every
+ * level but the last merges adjacent pairs into the other ping-pong
+ * buffer, each merged pair at its first element's global offset; an
+ * odd last group is carried by reference.  A carried group may later be
+ * merged into the very buffer it lives in, as the right-hand side of
+ * its pair: the output then trails the group's unread elements (output
+ * slot offset + i + j < offset + len(left) + j while the left side
+ * lasts), so it never overwrites one. */
 static int
-lt_init(losertree *t, const f64view *runs, const int64_t *weights,
-        Py_ssize_t nruns)
+merge_network(const f64view *runs, const int64_t *weights, Py_ssize_t nruns,
+              Py_ssize_t total, wsink *sink, const int mode)
 {
-    t->runs = runs;
-    t->weights = weights;
-    t->nruns = nruns;
-    t->heap = NULL;
-    t->heap_from_scratch = 0;
-    Py_ssize_t size = 1;
-    while (size < nruns)
-        size *= 2;
-    t->size = size;
-    if (size <= LT_STACK_RUNS) {
-        t->h = t->heads_stack;
-        t->l = t->losers_stack;
-        t->c = t->cursors_stack;
+    Py_ssize_t pooled = nruns > 2 ? 2 * total : 0;   /* ping-pong pairs */
+    Py_ssize_t need = nruns * (Py_ssize_t)sizeof(wrun)
+                      + pooled * (Py_ssize_t)(sizeof(double) + sizeof(int64_t));
+    char *mem;
+    if (!net_scratch_busy) {
+        if (net_scratch_reserve(need) < 0)
+            return -1;
+        net_scratch_busy = 1;
+        mem = net_scratch;
     }
     else {
-        size_t need = (size_t)size * (sizeof(mergehead) + 2 * sizeof(Py_ssize_t));
-        char *mem;
-        if (!lt_scratch_busy) {
-            if (lt_scratch_reserve(need) < 0)
-                return -1;
-            lt_scratch_busy = 1;
-            t->heap_from_scratch = 1;
-            mem = lt_scratch;
-        }
-        else {
-            mem = PyMem_Malloc(need);
-            if (mem == NULL) {
-                PyErr_NoMemory();
-                return -1;
-            }
-        }
-        t->heap = mem;
-        t->h = (mergehead *)mem;
-        t->l = (Py_ssize_t *)(mem + (size_t)size * sizeof(mergehead));
-        t->c = t->l + size;
-    }
-    for (Py_ssize_t i = 0; i < nruns; i++)
-        t->c[i] = 0;
-    for (Py_ssize_t leaf = 0; leaf < size; leaf++)
-        lt_set_head(t, leaf);
-    t->winner = size > 1 ? lt_build(t, 1) : 0;
-    return 0;
-}
-
-/* Pop the smallest head; out_w receives its run's constant weight. */
-static inline double
-lt_pop(losertree *t, int64_t *out_w)
-{
-    Py_ssize_t w = t->winner;
-    double v = t->h[w].v;
-    *out_w = t->weights[w];
-    t->c[w]++;
-    lt_set_head(t, w);
-    for (Py_ssize_t node = (w + t->size) >> 1; node >= 1; node >>= 1) {
-        if (head_less(&t->h[t->l[node]], &t->h[w])) {
-            Py_ssize_t loser = t->l[node];
-            t->l[node] = w;
-            w = loser;
+        mem = PyMem_Malloc((size_t)(need > 0 ? need : 1));
+        if (mem == NULL) {
+            PyErr_NoMemory();
+            return -1;
         }
     }
-    t->winner = w;
-    return v;
-}
-
-static void
-lt_free(losertree *t)
-{
-    if (t->heap == NULL)
-        return;
-    if (t->heap_from_scratch)
-        lt_scratch_busy = 0;
+    wrun *seg = (wrun *)mem;
+    double *vbuf[2] = {NULL, NULL};
+    int64_t *wbuf[2] = {NULL, NULL};
+    if (pooled > 0) {
+        vbuf[0] = (double *)(seg + nruns);
+        vbuf[1] = vbuf[0] + total;
+        wbuf[0] = (int64_t *)(vbuf[1] + total);
+        wbuf[1] = wbuf[0] + total;
+    }
+    /* The non-empty runs in (weight, input position) order: a stable
+     * insertion sort by weight. */
+    Py_ssize_t nseg = 0;
+    for (Py_ssize_t r = 0; r < nruns; r++) {
+        if (runs[r].len == 0)
+            continue;
+        Py_ssize_t at = nseg++;
+        while (at > 0 && *seg[at - 1].w > weights[r]) {
+            seg[at] = seg[at - 1];
+            at--;
+        }
+        seg[at] = (wrun){runs[r].data, &weights[r], 0, runs[r].len};
+    }
+    for (int side = 0; nseg > 2; side ^= 1) {
+        Py_ssize_t out = 0, offset = 0;
+        for (Py_ssize_t s = 0; s + 1 < nseg; s += 2) {
+            wsink pairs = {vbuf[side] + offset, wbuf[side] + offset,
+                           0, PY_SSIZE_T_MAX, 0, 0, 0};
+            merge2(&seg[s], &seg[s + 1], &pairs, SINK_PAIRS);
+            seg[out++] = (wrun){pairs.v, pairs.w, -1, pairs.o};
+            offset += pairs.o;
+        }
+        if (nseg % 2)
+            seg[out++] = seg[nseg - 1];
+        nseg = out;
+    }
+    if (nseg > 0) {
+        wrun none = {NULL, NULL, 0, 0};
+        const wrun *right = nseg > 1 ? &seg[1] : &none;
+        if (mode == SINK_CUMULATIVE)
+            merge2(&seg[0], right, sink, SINK_CUMULATIVE);
+        else
+            merge2(&seg[0], right, sink, SINK_KEEP);
+    }
+    if (mem == net_scratch)
+        net_scratch_busy = 0;
     else
-        PyMem_Free(t->heap);
-    t->heap = NULL;
-}
-
-/* Merge ``nruns`` sorted runs (each with a constant per-element weight)
- * into parallel arrays ``out_vals``/``out_wts`` (caller-allocated, total
- * length ``total``).  Stable: earlier runs win ties. */
-static int
-merge_runs(const f64view *runs, const int64_t *weights, Py_ssize_t nruns,
-           double *out_vals, int64_t *out_wts, Py_ssize_t total)
-{
-    if (nruns == 1) {
-        memcpy(out_vals, runs[0].data, (size_t)total * sizeof(double));
-        for (Py_ssize_t i = 0; i < total; i++)
-            out_wts[i] = weights[0];
-        return 0;
-    }
-    if (nruns == 2) {
-        Py_ssize_t first = 0, second = 1;
-        if (weights[0] > weights[1]) {
-            /* Reference tie order is value-then-weight: keep the lighter
-             * run tie-preferred so ``a <= b`` reproduces it (equal
-             * weights fall back to input order, which run 0 already is). */
-            first = 1;
-            second = 0;
-        }
-        const double *a = runs[first].data, *b = runs[second].data;
-        Py_ssize_t na = runs[first].len, nb = runs[second].len;
-        Py_ssize_t i = 0, j = 0, o = 0;
-        int64_t wa = weights[first], wb = weights[second];
-        while (i < na && j < nb) {
-            if (a[i] <= b[j]) {
-                out_vals[o] = a[i++];
-                out_wts[o++] = wa;
-            }
-            else {
-                out_vals[o] = b[j++];
-                out_wts[o++] = wb;
-            }
-        }
-        for (; i < na; i++, o++) {
-            out_vals[o] = a[i];
-            out_wts[o] = wa;
-        }
-        for (; j < nb; j++, o++) {
-            out_vals[o] = b[j];
-            out_wts[o] = wb;
-        }
-        return 0;
-    }
-    losertree t;
-    if (lt_init(&t, runs, weights, nruns) < 0)
-        return -1;
-    for (Py_ssize_t o = 0; o < total; o++)
-        out_vals[o] = lt_pop(&t, &out_wts[o]);
-    lt_free(&t);
+        PyMem_Free(mem);
     return 0;
 }
 
@@ -1111,17 +1074,12 @@ merged_payload(f64view *runs, int64_t *weights, Py_ssize_t nruns, Py_ssize_t tot
         Py_XDECREF(cum_out);
         return NULL;
     }
-    double *vals = (double *)PyBytes_AS_STRING(vals_out);
-    int64_t *wts = (int64_t *)PyBytes_AS_STRING(cum_out);
-    if (merge_runs(runs, weights, nruns, vals, wts, total) < 0) {
+    wsink sink = {(double *)PyBytes_AS_STRING(vals_out),
+                  (int64_t *)PyBytes_AS_STRING(cum_out), 0, total, 0, 0, 0};
+    if (merge_network(runs, weights, nruns, total, &sink, SINK_CUMULATIVE) < 0) {
         Py_DECREF(vals_out);
         Py_DECREF(cum_out);
         return NULL;
-    }
-    int64_t running = 0;
-    for (Py_ssize_t i = 0; i < total; i++) {
-        running += wts[i];
-        wts[i] = running;
     }
     return Py_BuildValue("(NN)", vals_out, cum_out);
 }
@@ -1198,96 +1156,27 @@ native_select_collapse(PyObject *self, PyObject *args)
         release_weighted(runs, weights, nruns, scratch);
         return NULL;
     }
-    double *kept = (double *)PyBytes_AS_STRING(out);
-    if (nruns == 1) {
-        /* stride == the run's weight, so consecutive kept positions are
-         * consecutive run elements: one memcpy from (offset-1)/weight. */
-        memcpy(kept, runs[0].data + (offset - 1) / weights[0],
-               (size_t)capacity * sizeof(double));
-        release_weighted(runs, weights, nruns, scratch);
-        return out;
+    /* The network's last level is the keep walk: values are kept as the
+     * cumulative weight crosses offset + j * stride, and no merged
+     * sequence is ever materialised. */
+    wsink sink = {(double *)PyBytes_AS_STRING(out), NULL, 0, capacity, 0,
+                  (int64_t)offset, stride};
+    int failed = merge_network(runs, weights, nruns, total_len, &sink,
+                               SINK_KEEP) < 0;
+    release_weighted(runs, weights, nruns, scratch);
+    if (!failed && sink.o < capacity) {
+        /* Unreachable after the coverage check above; refuse rather than
+         * return unwritten slots if it is ever violated. */
+        PyErr_Format(PyExc_AssertionError,
+                     "collapse selected past the merged input "
+                     "(total weight %lld, stride %lld, offset %zd)",
+                     (long long)total_weight, (long long)stride, offset);
+        failed = 1;
     }
-    if (nruns == 2) {
-        /* The dominant collapse-tree shape: a two-pointer selection walk
-         * with no merged sequence materialised at all.  Coverage was
-         * validated above, so the walk cannot run past both runs. */
-        const double *a = runs[0].data, *b = runs[1].data;
-        Py_ssize_t na = runs[0].len, nb = runs[1].len, ia = 0, ib = 0;
-        int64_t wa = weights[0], wb = weights[1];
-        int64_t cumulative = 0, position = (int64_t)offset;
-        Py_ssize_t o = 0;
-        while (o < capacity) {
-            if (ia >= na && ib >= nb) {
-                /* Unreachable after the coverage check above; refuse
-                 * rather than read past a run if it is ever violated. */
-                PyErr_Format(PyExc_AssertionError,
-                             "collapse selected past the merged input "
-                             "(total weight %lld, stride %lld, offset %zd)",
-                             (long long)total_weight, (long long)stride,
-                             offset);
-                release_weighted(runs, weights, nruns, scratch);
-                Py_DECREF(out);
-                return NULL;
-            }
-            if (ib >= nb || (ia < na && a[ia] <= b[ib])) {
-                cumulative += wa;
-                if (position <= cumulative) {
-                    kept[o++] = a[ia];
-                    position += stride;
-                }
-                ia++;
-            }
-            else {
-                cumulative += wb;
-                if (position <= cumulative) {
-                    kept[o++] = b[ib];
-                    position += stride;
-                }
-                ib++;
-            }
-        }
-        release_weighted(runs, weights, nruns, scratch);
-        return out;
-    }
-    /* General shape: walk the loser-tree merge in a single pass, keeping
-     * values as the cumulative weight crosses offset + j * stride — no
-     * merged sequence is ever materialised.  Each element keeps at most
-     * once: with nruns >= 2 every run weight is strictly below the
-     * stride (their sum), so the position always overshoots the element
-     * just kept. */
-    losertree tree;
-    if (lt_init(&tree, runs, weights, nruns) < 0) {
-        release_weighted(runs, weights, nruns, scratch);
+    if (failed) {
         Py_DECREF(out);
         return NULL;
     }
-    Py_ssize_t popped = 0, o = 0;
-    int64_t cumulative = 0;
-    int64_t position = (int64_t)offset;
-    while (o < capacity) {
-        if (popped >= total_len) {
-            /* Unreachable after the coverage check above; refuse rather
-             * than pop a sentinel if it is ever violated. */
-            PyErr_Format(PyExc_AssertionError,
-                         "collapse selected past the merged input "
-                         "(total weight %lld, stride %lld, offset %zd)",
-                         (long long)total_weight, (long long)stride, offset);
-            lt_free(&tree);
-            release_weighted(runs, weights, nruns, scratch);
-            Py_DECREF(out);
-            return NULL;
-        }
-        int64_t w;
-        double value = lt_pop(&tree, &w);
-        popped++;
-        cumulative += w;
-        if (position <= cumulative) {
-            kept[o++] = value;
-            position += stride;
-        }
-    }
-    lt_free(&tree);
-    release_weighted(runs, weights, nruns, scratch);
     return out;
 }
 
@@ -1380,37 +1269,33 @@ native_merge_views(PyObject *self, PyObject *args)
     }
     double *vals = (double *)PyBytes_AS_STRING(vals_out);
     int64_t *cum = (int64_t *)PyBytes_AS_STRING(cum_out);
+    /* An element's merged cumulative weight is its own view's plus the
+     * other view's weight consumed so far.  Locals, not the viewpair
+     * fields, because the int64 stores could alias those. */
+    const double *av = a.v, *bv = b.v;
+    const int64_t *ac = a.c, *bc = b.c;
+    const Py_ssize_t na = a.len, nb = b.len;
     Py_ssize_t i = 0, j = 0, o = 0;
-    int64_t prev_a = 0, prev_b = 0, running = 0;
-    while (i < a.len && j < b.len) {
-        if (a.v[i] <= b.v[j]) {
-            running += a.c[i] - prev_a;
-            prev_a = a.c[i];
-            vals[o] = a.v[i];
-            cum[o++] = running;
-            i++;
+    int64_t a_done = 0, b_done = 0;
+    while (i < na && j < nb) {
+        if (av[i] <= bv[j]) {
+            a_done = ac[i];
+            vals[o] = av[i++];
+            cum[o++] = a_done + b_done;
         }
         else {
-            running += b.c[j] - prev_b;
-            prev_b = b.c[j];
-            vals[o] = b.v[j];
-            cum[o++] = running;
-            j++;
+            b_done = bc[j];
+            vals[o] = bv[j++];
+            cum[o++] = a_done + b_done;
         }
     }
-    while (i < a.len) {
-        running += a.c[i] - prev_a;
-        prev_a = a.c[i];
-        vals[o] = a.v[i];
-        cum[o++] = running;
-        i++;
+    for (; i < na; i++, o++) {
+        vals[o] = av[i];
+        cum[o] = ac[i] + b_done;
     }
-    while (j < b.len) {
-        running += b.c[j] - prev_b;
-        prev_b = b.c[j];
-        vals[o] = b.v[j];
-        cum[o++] = running;
-        j++;
+    for (; j < nb; j++, o++) {
+        vals[o] = bv[j];
+        cum[o] = bc[j] + a_done;
     }
     viewpair_release(&a);
     viewpair_release(&b);

@@ -26,6 +26,7 @@ round-trip across the two backends without translation.
 from __future__ import annotations
 
 import random
+import sys
 from array import array
 from collections.abc import Sequence
 from typing import Any
@@ -35,11 +36,6 @@ from repro.kernels import merge_views as _generic_merge_views
 
 __all__ = ["NativeBackend", "NativeMergedView", "NATIVE_BACKEND"]
 
-try:  # optional: only used to recognise ndarray inputs without copying
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - exercised in numpy-free installs
-    _numpy = None  # type: ignore[assignment]
-
 
 def _is_f64_buffer(values: object) -> bool:
     """True for inputs the C kernels can consume zero-copy."""
@@ -47,9 +43,12 @@ def _is_f64_buffer(values: object) -> bool:
         return values.typecode == "d"
     if isinstance(values, memoryview):
         return values.format in ("d", "<d", "=d") and values.contiguous
-    if _numpy is not None and isinstance(values, _numpy.ndarray):
+    # An ndarray implies its caller imported numpy, so numpy is looked up,
+    # never imported: the native path does not pay numpy's import.
+    numpy = sys.modules.get("numpy")
+    if numpy is not None and isinstance(values, numpy.ndarray):
         return bool(
-            values.dtype == _numpy.float64
+            values.dtype == numpy.float64
             and values.ndim == 1
             and values.flags["C_CONTIGUOUS"]
         )
@@ -122,7 +121,8 @@ class NativeBackend(KernelBackend):
             # replint: disable=buffer-arena -- this IS the sanctioned
             # conversion surface the rest of the data plane routes through
             return values.tolist()
-        if _numpy is not None and isinstance(values, _numpy.ndarray):
+        numpy = sys.modules.get("numpy")
+        if numpy is not None and isinstance(values, numpy.ndarray):
             # replint: disable=buffer-arena -- as above: the conversion
             # surface itself
             return values.tolist()

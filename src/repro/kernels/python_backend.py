@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
@@ -20,11 +21,6 @@ from typing import Any
 from repro.kernels import KernelBackend, MergedView, is_nan
 
 __all__ = ["PythonBackend", "PYTHON_BACKEND"]
-
-try:  # optional: only used to fast-path NaN scans of ndarray inputs
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - exercised in numpy-free installs
-    _numpy = None
 
 
 class PythonBackend(KernelBackend):
@@ -40,9 +36,11 @@ class PythonBackend(KernelBackend):
 
     def batch_contains_nan(self, values: Sequence[float]) -> bool:
         # Vectorised even on the python backend when the *input* is an
-        # ndarray — scanning it element-wise would box every value.
-        if _numpy is not None and isinstance(values, _numpy.ndarray):
-            return bool(_numpy.isnan(values).any())
+        # ndarray — scanning it element-wise would box every value.  An
+        # ndarray implies numpy is loaded, so it is looked up, not imported.
+        numpy = sys.modules.get("numpy")
+        if numpy is not None and isinstance(values, numpy.ndarray):
+            return bool(numpy.isnan(values).any())
         try:
             # C-level scan: map() with math.isnan avoids one interpreted
             # frame per element, which halves whole-batch ingest time.
@@ -60,7 +58,8 @@ class PythonBackend(KernelBackend):
             # replint: disable=buffer-arena -- this IS the sanctioned
             # conversion surface the rest of the data plane routes through
             return values.tolist()
-        if _numpy is not None and isinstance(values, _numpy.ndarray):
+        numpy = sys.modules.get("numpy")
+        if numpy is not None and isinstance(values, numpy.ndarray):
             # replint: disable=buffer-arena -- as above: the conversion
             # surface itself
             return values.tolist()
@@ -227,8 +226,9 @@ class PythonBackend(KernelBackend):
     ) -> None:
         if sort:
             values = sorted(values)
-        packed = values if isinstance(values, array) else array("d", values)
-        storage[offset : offset + len(packed)] = packed
+        if not (isinstance(values, array) and values.typecode == "d"):
+            values = array("d", values)  # e.g. an integer array batch
+        storage[offset : offset + len(values)] = values
 
     def wrap_values(self, buffer: Any, count: int) -> memoryview:
         # The shared-memory mode's storage: a float64-typed memoryview

@@ -107,6 +107,16 @@ class TestUpdateBatch:
         assert est.n == 10_000
         assert abs(est.query(0.5) - 5_000) < 0.05 * 10_000 + 1
 
+    def test_integer_array_input_straddling_buffers(self):
+        # Windows that straddle a buffer are staged as float64 columns;
+        # an integer-typed array batch must convert, not be rejected.
+        est = UnknownNQuantiles(plan=PLAN, seed=13)
+        values = array.array("i", range(10_000))
+        est.update_batch(values[:4_321])
+        est.update_batch(values[4_321:])
+        assert est.total_weight == est.n == 10_000
+        assert abs(est.query(0.5) - 5_000) < 0.05 * 10_000 + 1
+
 
 class TestNumpyPath:
     numpy = pytest.importorskip("numpy")

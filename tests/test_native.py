@@ -1,6 +1,6 @@
 """Tests for the compiled kernel backend (:mod:`repro.kernels.native_backend`).
 
-Four layers of confidence, mirroring ``test_kernels.py``:
+Layers of confidence, mirroring ``test_kernels.py``:
 
 * **Registry + degrade semantics** — ``"native"`` appears in
   :func:`available_backends` iff the extension is built; an explicit
@@ -11,13 +11,19 @@ Four layers of confidence, mirroring ``test_kernels.py``:
   weighted buffers and batches through native × python × numpy.  Against
   python the native backend is held to the *stronger* contract: with a
   shared ``random.Random`` every kernel is bit-identical (same draw law
-  ``int(random() * rate)``, same tie law in the weighted merge).
+  ``int(random() * rate)``, same tie law in the weighted merge).  The
+  merge network is driven wider: up to 12 runs and past 64, with
+  duplicates, signed zeros and zero weights shared across runs.
 * **Cross-backend checkpoints, both directions** — a native checkpoint
   restores on a build-free host (python kernels, warning) and replays
   bit-identically; a python checkpoint retagged ``native`` restores on
   the compiled kernels and replays bit-identically.
 * **Native end-to-end** — accuracy, zero-copy float64 ingest, atomic NaN
-  rejection, persist framing, and the uncached ``query_many`` rank walk.
+  rejection, persist framing, the uncached ``query_many`` rank walk, and
+  no numpy import on the native path.
+* **The polling loop** — ``query_many`` after every ``update_batch``,
+  checked against exact ranks on python and native, and a mid-buffer
+  checkpoint replayed bit-identically on and across both backends.
 """
 
 from __future__ import annotations
@@ -210,7 +216,7 @@ class TestNativeBitIdentity:
     @settings(max_examples=60, deadline=None)
     @given(inputs=weighted_buffers)
     def test_merge_weighted_cumweights_bit_identical(self, inputs):
-        # Stronger than answer-equivalence: the native loser-tree merge
+        # Stronger than answer-equivalence: the native merge network
         # reproduces the reference tie law (value, weight, input order),
         # so even the exposed cumweights arrays match entry for entry.
         native = get_backend("native")
@@ -333,6 +339,125 @@ class TestMatrixEquivalence:
 
 
 # ----------------------------------------------------------------------
+# The merge network: bit identity over wide and tie-heavy run sets
+# ----------------------------------------------------------------------
+
+#: Values shared across runs: duplicates and both signed zeros are
+#: common, so the (value, weight, input position) tie law decides the
+#: order of equal values, and with it the cumulative weights.
+shared_value = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(
+    -100, 100, allow_nan=False
+)
+
+
+@st.composite
+def run_sets(draw, min_runs=1, max_runs=12):
+    """Sorted runs with equal, distinct, or mixed (zero-including) weights."""
+    count = draw(st.integers(min_runs, max_runs))
+    law = draw(st.sampled_from(["equal", "distinct", "mixed"]))
+    if law == "equal":
+        weights = [draw(st.integers(1, 8))] * count
+    elif law == "distinct":
+        weights = draw(st.permutations(range(1, count + 1)))
+    else:
+        weights = draw(st.lists(st.integers(0, 6), min_size=count, max_size=count))
+    runs = draw(
+        st.lists(
+            st.lists(shared_value, max_size=30).map(sorted),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    return list(zip(runs, weights))
+
+
+def _many_runs(seed, count):
+    """More runs than a 64-leaf tournament held, with shared values."""
+    rng = random.Random(seed)
+    pool = [-0.0, 0.0, 1.0, 2.0] + [rng.uniform(-5, 5) for _ in range(20)]
+    return [
+        (sorted(rng.choice(pool) for _ in range(rng.randint(0, 40))),
+         rng.choice([0, 1, 1, 2, 3, 8]))
+        for _ in range(count)
+    ]
+
+
+def _bits(values):
+    """The exact float64 bit patterns, so -0.0 and 0.0 differ."""
+    return array("d", values).tobytes()
+
+
+def _assert_view_bit_identical(inputs):
+    native = get_backend("native")
+    py = PYTHON_BACKEND.merged_view(inputs)
+    nat = native.merged_view(inputs)
+    assert _bits(py.values) == _bits(nat.values)
+    assert list(py.cumweights) == list(nat.cumweights)
+
+
+def _assert_collapse_identical(inputs, offsets):
+    native = get_backend("native")
+    stride = sum(w for _, w in inputs)
+    total = sum(len(d) * w for d, w in inputs)
+    if stride == 0 or total < stride:
+        return  # no Collapse output to select
+    capacity = total // stride
+    for offset in offsets(stride):
+        py = PYTHON_BACKEND.select_collapse(inputs, capacity, offset)
+        assert list(native.select_collapse(inputs, capacity, offset)) == list(py)
+
+
+def _assert_merge_views_match_joint(a, b):
+    native = get_backend("native")
+    merged = native.merge_views(native.merged_view(a), native.merged_view(b))
+    joint = PYTHON_BACKEND.merged_view(a + b)
+    assert merged.total_weight == joint.total_weight
+    assert list(merged.values) == list(joint.values)
+    positions = range(1, joint.total_weight + 1)
+    assert merged.select_many(positions) == joint.select_many(positions)
+    for probe in set(joint.values):
+        assert merged.cum_at(probe) == joint.cum_at(probe)
+
+
+@requires_native
+class TestMergeNetwork:
+    """Native vs python over up to 12 runs, and past 64."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=run_sets())
+    def test_merged_view_bit_identical(self, inputs):
+        _assert_view_bit_identical(inputs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=run_sets(min_runs=2), data=st.data())
+    def test_select_collapse_identical(self, inputs, data):
+        _assert_collapse_identical(
+            inputs, lambda stride: [1, stride, data.draw(st.integers(1, stride))]
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=run_sets(max_runs=6), b=run_sets(max_runs=6))
+    def test_merge_views_equals_joint_merge(self, a, b):
+        _assert_merge_views_match_joint(a, b)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_more_than_64_runs(self, seed):
+        inputs = _many_runs(seed, 65 + 17 * seed)
+        _assert_view_bit_identical(inputs)
+        _assert_collapse_identical(inputs, lambda stride: [1, stride // 2 + 1, stride])
+        half = len(inputs) // 2
+        _assert_merge_views_match_joint(inputs[:half], inputs[half:])
+
+    def test_collapse_argument_checks_survive(self):
+        native = get_backend("native")
+        inputs = [(array("d", [1.0, 2.0]), 1), (array("d", [0.5, 3.0]), 2)]
+        with pytest.raises(ValueError, match="outside stride"):
+            native.select_collapse(inputs, 1, 4)
+        with pytest.raises(AssertionError, match="cover weight"):
+            native.select_collapse(inputs, 3, 1)
+
+
+# ----------------------------------------------------------------------
 # Cross-backend checkpoints, both directions
 # ----------------------------------------------------------------------
 
@@ -434,6 +559,32 @@ class TestNativeEndToEnd:
         assert est.n == 5_000
         assert 0.4 <= est.query(0.5) <= 0.6
 
+    def test_native_estimator_does_not_import_numpy(self):
+        # An ndarray input implies numpy is already loaded, so the native
+        # path only looks the type up; building an estimator and feeding
+        # it packed floats must leave numpy unimported.
+        import os
+        import subprocess
+
+        code = (
+            "import sys\n"
+            "from array import array\n"
+            "import repro\n"
+            "est = repro.UnknownNQuantiles(eps=0.01, delta=1e-3, seed=1, "
+            "backend='native')\n"
+            "est.update_batch(array('d', range(10_000)))\n"
+            "est.query_many([0.5])\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        package = os.path.dirname(os.path.dirname(kernels_pkg.__file__))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+        env.pop(BACKEND_ENV_VAR, None)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert done.stdout.strip() == "False"
+
     @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
     def test_ndarray_ingest(self):
         est = UnknownNQuantiles(plan=PLAN, seed=5, backend="native")
@@ -510,3 +661,133 @@ class TestNativeEndToEnd:
         for worker in range(4):
             par.extend(worker, [rng.random() for _ in range(5_000)])
         assert 0.4 <= par.query(0.5) <= 0.6
+
+
+# ----------------------------------------------------------------------
+# The polling loop: query after every batch, checked against exact ranks
+# ----------------------------------------------------------------------
+
+#: k = 74, b = 3, h = 4: small enough that a few thousand values pass
+#: sampling onset (rate 1 -> 2 -> 4 ...).
+POLL_EPS, POLL_DELTA = 0.1, 0.01
+POLL_PHIS = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
+#: Batch sizes around k = 74 and the block sizes, so windows straddle
+#: buffer and block boundaries in every phase of a buffer.
+POLL_BATCHES = [1, 5, 73, 74, 75, 150, 37, 300, 2, 511, 3, 148]
+
+polled_backends = pytest.mark.parametrize(
+    "backend", ["python", pytest.param("native", marks=requires_native)]
+)
+
+
+def _poll_stream(seed, total):
+    rng = random.Random(seed)
+    values = [rng.uniform(-1e3, 1e3) for _ in range(total)]
+    batches, index = [], 0
+    while index < total:
+        size = POLL_BATCHES[len(batches) % len(POLL_BATCHES)]
+        batches.append(values[index : index + size])
+        index += size
+    return batches
+
+
+def _poll(est, batches, seen, *, every=True):
+    """Feed each batch and query after it; check answers' exact ranks.
+
+    Every poll is checked when ``every``; otherwise only the last one
+    (the known-N estimator's guarantee holds at its declared length).
+    """
+    from repro.stats.rank import is_eps_approximate
+
+    answers = []
+    for index, batch in enumerate(batches):
+        est.update_batch(array("d", batch))
+        seen.extend(batch)
+        answer = est.query_many(POLL_PHIS)
+        answers.append(answer)
+        if not every and index < len(batches) - 1:
+            continue
+        ordered = sorted(seen)
+        for phi, value in zip(POLL_PHIS, answer):
+            assert is_eps_approximate(ordered, value, phi, POLL_EPS), (
+                f"n={len(seen)} phi={phi}: {value} is not within eps*n"
+            )
+    return answers
+
+
+def _untagged(state):
+    """A state dict through JSON, without its backend tags."""
+    state = json.loads(json.dumps(state))
+    state.pop("backend")
+    state["engine"].pop("backend")
+    return state
+
+
+class TestPollingLoop:
+    @polled_backends
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_poll_within_eps_past_sampling_onset(self, backend, seed):
+        est = UnknownNQuantiles(
+            eps=POLL_EPS, delta=POLL_DELTA, seed=seed, backend=backend
+        )
+        _poll(est, _poll_stream(seed + 100, 6_000), [])
+        assert est.sampling_rate >= 4
+
+    @polled_backends
+    def test_known_n_polls_end_within_eps(self, backend):
+        from repro.core.known_n import KnownNQuantiles
+
+        batches = _poll_stream(7, 6_000)
+        est = KnownNQuantiles(
+            eps=POLL_EPS, delta=POLL_DELTA, n=6_000, seed=7, backend=backend
+        )
+        _poll(est, batches, [], every=False)
+        assert est.plan.rate > 1
+
+    @requires_native
+    def test_python_and_native_polls_bit_identical(self):
+        batches = _poll_stream(5, 4_000)
+        runs = [
+            _poll(UnknownNQuantiles(eps=POLL_EPS, delta=POLL_DELTA, seed=5,
+                                    backend=name), batches, [])
+            for name in ("python", "native")
+        ]
+        assert runs[0] == runs[1]
+
+    @requires_native
+    @pytest.mark.parametrize("kind", ["unknown_n", "known_n"])
+    def test_mid_buffer_checkpoint_replays_bit_identically(self, kind):
+        """Checkpoint with staged values and an open block, restore on
+        either backend, replay: every poll equals the uninterrupted run."""
+        from repro.core.known_n import KnownNQuantiles
+
+        def make(backend):
+            if kind == "known_n":
+                return KnownNQuantiles(eps=POLL_EPS, delta=POLL_DELTA, n=6_000,
+                                       seed=3, backend=backend)
+            return UnknownNQuantiles(eps=POLL_EPS, delta=POLL_DELTA, seed=3,
+                                     backend=backend)
+
+        every = kind == "unknown_n"
+        batches = _poll_stream(11, 6_000)
+        cut = 14
+        lives = {name: make(name) for name in ("python", "native")}
+        for est in lives.values():
+            _poll(est, batches[:cut], [], every=every)
+        seen = [v for batch in batches[:cut] for v in batch]
+        state = _untagged(lives["native"].to_state_dict())
+        assert state["staged"] and state["sampler"]["seen_in_block"]
+        assert state == _untagged(lives["python"].to_state_dict())
+        restored = {}
+        for name in ("python", "native"):
+            restored[name] = type(lives[name]).from_state_dict(
+                {**state, "backend": name}
+            )
+            assert restored[name].backend.name == name
+        replays = [
+            _poll(est, batches[cut:], list(seen), every=every)
+            for est in (*lives.values(), *restored.values())
+        ]
+        assert all(replay == replays[0] for replay in replays)
+        final = [_untagged(est.to_state_dict()) for est in restored.values()]
+        assert final[0] == final[1]
