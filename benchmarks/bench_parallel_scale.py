@@ -10,24 +10,27 @@ coordinator merge time for W in {1, 2, 4}.  The simulated
 per-worker slices so the real pool's accuracy is checked against both
 the union ground truth and its single-process twin.
 
-Both transports run over the same worker grid: ``"bytes"`` (CRC-framed
-snapshot blobs on the result queue — the original engine) and ``"shm"``
-(persistent workers ingesting into a shared-memory arena segment and
-shipping ``(slot, length, weight, level)`` offset descriptors).  Every
-row carries a per-phase breakdown — spawn ms, plan ms, ingest ms,
-shipped bytes, merge ms — so a scaling regression points at the phase
-that caused it.
+Two uses of the one pool engine run over the same worker grid:
+one-shot runs (``workers`` rows — spawn, one pass, reap) and a reused
+:class:`~repro.runtime.PersistentPool` (``workers_reused`` rows — one
+pool across ``REUSED_PASSES`` passes, its one-time spawn excluded and
+reported apart).  Every row carries a per-phase breakdown — spawn ms,
+ingest ms, shipped bytes, merge ms — so a scaling regression points at
+the phase that caused it.  The ``persistence`` block times alternating
+one-shot and reused passes at 2 workers, caller-side, as medians and
+quartiles.
 
 Shape claims:
 
 * every worker ships at most one full + one partial buffer — asserted
   from ``MergeReport.shipments``, i.e. measured on the wire;
-* shipped bytes are tiny next to the input (KBs vs MBs), and the shm
-  path ships only descriptor-sized payloads (no float64 blobs at all);
-* both transports give bit-identical quantiles for the same seed;
+* shipped bytes are tiny next to the input (KBs vs MBs);
+* a reused pool gives quantiles bit-identical to a one-shot run under
+  the same seed, pass after pass;
+* a reused pool's median pass beats a one-shot pass;
 * real and simulated pools are both within 2 eps of the union;
 * with >= 4 physical cores, the 4-worker pool ingests >= 3x faster than
-  the 1-worker pool and the shm path scales monotonically (criteria
+  the 1-worker pool and the reused pool scales monotonically (criteria
   recorded as skipped on smaller hosts — a 1-core container cannot
   exhibit multi-core scaling).
 
@@ -47,6 +50,7 @@ import json
 import os
 import pathlib
 import random
+import statistics
 import tempfile
 import time
 
@@ -55,7 +59,7 @@ from conftest import format_table, report
 from repro.core.parallel import ParallelQuantiles
 from repro.core.params import plan_parameters
 from repro.kernels import available_backends
-from repro.runtime import run_pool_on_file
+from repro.runtime import PersistentPool, run_pool_on_file
 from repro.stats.rank import rank_error
 from repro.streams.diskfile import plan_byte_ranges, read_float_chunks, write_floats
 
@@ -73,9 +77,12 @@ SMOKE_N = 200_000
 PRE_ARENA_SHIPPED_BYTES = {1: 64_783, 2: 135_370, 4: 294_302}
 SHIPPED_REDUCTION_REQUIRED = 3.0
 
-#: The shm path ships offset descriptors, not payloads; anything above
-#: this per worker means a float64 blob snuck back onto the queue.
-DESCRIPTOR_BYTES_PER_WORKER_MAX = 1_024
+#: Passes one reused pool runs per worker count (spawn paid once).
+REUSED_PASSES = 10
+
+#: Alternating one-shot/reused pairs timed in the persistence block.
+PERSISTENCE_PAIRS = 12
+PERSISTENCE_WORKERS = 2
 
 
 def _make_file(directory: str, n: int, seed: int = 47) -> str:
@@ -93,10 +100,74 @@ def _pool_stats(result) -> dict:
         "ingest_ms": round(result.ingest_seconds * 1_000, 3),
         "merge_ms": round(result.merge_seconds * 1_000, 3),
         "shipped_bytes": result.shipped_bytes,
-        "transport": result.transport,
         "shipped_buffers": result.report.shipped_buffers,
         "within_communication_bound": result.report.within_communication_bound,
         "weight_coverage": result.report.weight_coverage,
+    }
+
+
+def _reused_stats(results: list, pool_spawn_seconds: float) -> dict:
+    """Median per-pass phases of one reused pool; spawn reported apart."""
+    rows = [_pool_stats(result) for result in results]
+    stats = dict(rows[-1])
+    for key in ("elems_per_s", "spawn_ms", "ingest_ms", "merge_ms"):
+        stats[key] = round(statistics.median(row[key] for row in rows), 3)
+    stats["within_communication_bound"] = all(
+        row["within_communication_bound"] for row in rows
+    )
+    stats["passes"] = len(results)
+    stats["pool_spawn_ms"] = round(pool_spawn_seconds * 1_000, 3)
+    return stats
+
+
+def _spread(samples: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
+
+
+def persistence_passes(
+    path: str,
+    *,
+    workers: int = PERSISTENCE_WORKERS,
+    pairs: int = PERSISTENCE_PAIRS,
+    plan=None,
+    backend: str | None = None,
+    start_method: str | None = None,
+    seed: int = 7,
+) -> dict:
+    """Caller-side wall ms of one-shot vs reused passes, alternating.
+
+    Each pair runs one ``run_pool_on_file`` and one ``run_file`` on a
+    pool spawned beforehand, swapping which goes first every pair.  Both
+    use the same seed, so every answer must agree bit for bit.
+    """
+    plan = plan if plan is not None else plan_parameters(EPS, DELTA)
+    options = dict(plan=plan, seed=seed, backend=backend)
+    one_shot_ms: list[float] = []
+    reused_ms: list[float] = []
+    answers = set()
+    with PersistentPool(workers, start_method=start_method, **options) as pool:
+        pool.run_file(path, timeout=600)  # warm the workers once
+        for pair in range(pairs):
+            order = ("one-shot", "reused") if pair % 2 == 0 else ("reused", "one-shot")
+            for mode in order:
+                started = time.perf_counter()
+                if mode == "one-shot":
+                    result = run_pool_on_file(
+                        path, workers, start_method=start_method, timeout=600,
+                        **options,
+                    )
+                    one_shot_ms.append((time.perf_counter() - started) * 1_000)
+                else:
+                    result = pool.run_file(path, timeout=600)
+                    reused_ms.append((time.perf_counter() - started) * 1_000)
+                answers.add(tuple(result.query_many(PHIS)))
+    return {
+        "workers": workers,
+        "pairs": pairs,
+        "one_shot_pass_ms": _spread(one_shot_ms),
+        "reused_pass_ms": _spread(reused_ms),
+        "bit_identical": len(answers) == 1,
     }
 
 
@@ -145,7 +216,7 @@ def run_scale(
         # workers as part of the work spec; it is never per-worker cost.
         "plan_ms": round(plan_ms, 3),
         "workers": {},
-        "workers_shm": {},
+        "workers_reused": {},
     }
     with tempfile.TemporaryDirectory(prefix="repro-scale-") as tmp:
         path = _make_file(tmp, n)
@@ -169,28 +240,33 @@ def run_scale(
             stats = _pool_stats(result)
             stats["worst_err_over_n"] = round(_worst_error(result, union), 6)
             out["workers"][str(workers)] = stats
-            shm_result = run_pool_on_file(
-                path,
+            with PersistentPool(
                 workers,
                 plan=plan,
                 seed=seed,
                 backend=backend,
                 start_method=start_method,
-                timeout=600,
-                transport="shm",
+            ) as pool:
+                reused = [
+                    pool.run_file(path, timeout=600)
+                    for _ in range(REUSED_PASSES)
+                ]
+            assert all(again.n == n for again in reused)
+            reused_stats = _reused_stats(reused, pool.spawn_seconds)
+            reused_stats["worst_err_over_n"] = round(
+                _worst_error(reused[-1], union), 6
             )
-            assert shm_result.n == n
-            shm_stats = _pool_stats(shm_result)
-            shm_stats["worst_err_over_n"] = round(
-                _worst_error(shm_result, union), 6
+            # Same seed, reused workers: every pass must agree bit for bit
+            # with the one-shot run, or persistence changed the math.
+            reused_stats["bit_identical_to_oneshot"] = all(
+                again.query_many(PHIS) == result.query_many(PHIS)
+                for again in reused
             )
-            # Same seed, different transport: the answers must agree bit
-            # for bit, or the zero-copy path changed the math.
-            shm_stats["bit_identical_to_bytes"] = (
-                shm_result.query_many(PHIS) == result.query_many(PHIS)
-            )
-            out["workers_shm"][str(workers)] = shm_stats
+            out["workers_reused"][str(workers)] = reused_stats
         out["start_method"] = result.start_method
+        out["persistence"] = persistence_passes(
+            path, plan=plan, backend=backend, start_method=start_method, seed=seed
+        )
         # Accuracy twin: the simulated pool on the same slices as the
         # widest real pool (folds bench_parallel's check into this bench).
         twin_started = time.perf_counter()
@@ -201,8 +277,8 @@ def run_scale(
             "seconds": round(time.perf_counter() - twin_started, 3),
         }
     rates = {w: out["workers"][str(w)]["elems_per_s"] for w in WORKER_GRID}
-    shm_rates = {
-        w: out["workers_shm"][str(w)]["elems_per_s"] for w in WORKER_GRID
+    reused_rates = {
+        w: out["workers_reused"][str(w)]["elems_per_s"] for w in WORKER_GRID
     }
     speedup = rates[4] / rates[1]
     cores = out["cpu_count"] or 1
@@ -210,25 +286,27 @@ def run_scale(
         PRE_ARENA_SHIPPED_BYTES[w] / out["workers"][str(w)]["shipped_bytes"]
         for w in WORKER_GRID
     )
-    shm_descriptor_worst = max(
-        out["workers_shm"][str(w)]["shipped_bytes"] / w for w in WORKER_GRID
-    )
-    shm_monotone = all(
-        shm_rates[b] >= shm_rates[a]
+    reused_monotone = all(
+        reused_rates[b] >= reused_rates[a]
         for a, b in zip(WORKER_GRID, WORKER_GRID[1:])
     )
+    persistence = out["persistence"]
+    reused_median = persistence["reused_pass_ms"]["median"]
+    one_shot_median = persistence["one_shot_pass_ms"]["median"]
     out["pre_arena_baseline"] = {
         "shipped_bytes": {str(w): PRE_ARENA_SHIPPED_BYTES[w] for w in WORKER_GRID}
     }
     out["criteria"] = {
         "per_worker_shipment_bound": {
             "measured": all(
-                out["workers"][str(w)]["within_communication_bound"]
+                out[rows][str(w)]["within_communication_bound"]
+                for rows in ("workers", "workers_reused")
                 for w in WORKER_GRID
             ),
             "required": True,
             "pass": all(
-                out["workers"][str(w)]["within_communication_bound"]
+                out[rows][str(w)]["within_communication_bound"]
+                for rows in ("workers", "workers_reused")
                 for w in WORKER_GRID
             ),
         },
@@ -254,23 +332,24 @@ def run_scale(
             "required": SHIPPED_REDUCTION_REQUIRED,
             "pass": shipped_reduction >= SHIPPED_REDUCTION_REQUIRED,
         },
-        # The shm path must ship only offset descriptors: a few hundred
-        # bytes of plain ints per worker, never a float64 payload.
-        "shm_descriptor_only_shipping": {
-            "measured": round(shm_descriptor_worst, 1),
-            "required": DESCRIPTOR_BYTES_PER_WORKER_MAX,
-            "pass": shm_descriptor_worst <= DESCRIPTOR_BYTES_PER_WORKER_MAX,
-        },
-        "shm_bit_identical_to_bytes": {
-            "measured": all(
-                out["workers_shm"][str(w)]["bit_identical_to_bytes"]
+        "reused_bit_identical_to_oneshot": {
+            "measured": persistence["bit_identical"]
+            and all(
+                out["workers_reused"][str(w)]["bit_identical_to_oneshot"]
                 for w in WORKER_GRID
             ),
             "required": True,
-            "pass": all(
-                out["workers_shm"][str(w)]["bit_identical_to_bytes"]
+            "pass": persistence["bit_identical"]
+            and all(
+                out["workers_reused"][str(w)]["bit_identical_to_oneshot"]
                 for w in WORKER_GRID
             ),
+        },
+        # What persistence buys: no spawn, plan or reap per pass.
+        "reused_pass_faster_than_oneshot": {
+            "measured": {"reused_ms": reused_median, "one_shot_ms": one_shot_median},
+            "required": "reused median < one-shot median",
+            "pass": reused_median < one_shot_median,
         },
         "four_worker_speedup_vs_one": {
             "measured": round(speedup, 2),
@@ -285,12 +364,12 @@ def run_scale(
                 else None
             ),
         },
-        # The headline claim of the shared-memory rebuild: adding workers
-        # never makes the shm path slower (monotone elems/s over the grid).
-        "shm_monotone_speedup": {
-            "measured": {str(w): shm_rates[w] for w in WORKER_GRID},
+        # Adding workers never makes a reused pool slower (monotone
+        # elems/s over the grid, spawn excluded).
+        "reused_monotone_speedup": {
+            "measured": {str(w): reused_rates[w] for w in WORKER_GRID},
             "required": "monotone non-decreasing",
-            "pass": shm_monotone,
+            "pass": reused_monotone,
             "skipped": cores < 4,
             "skip_reason": (
                 f"host has {cores} core(s); >= 4 needed to measure scaling"
@@ -306,7 +385,7 @@ def _scale_table(result: dict) -> list[str]:
     rows = [
         [
             w,
-            stats["transport"],
+            mode,
             f"{stats['elems_per_s']:,.0f}",
             f"{stats['spawn_ms']:.1f}",
             f"{stats['ingest_ms']:.1f}",
@@ -315,13 +394,13 @@ def _scale_table(result: dict) -> list[str]:
             str(stats["shipped_buffers"]),
             f"{stats['worst_err_over_n']:.5f}",
         ]
-        for table in ("workers", "workers_shm")
+        for table, mode in (("workers", "one-shot"), ("workers_reused", "reused"))
         for w, stats in result[table].items()
     ]
     lines = format_table(
         [
             "workers",
-            "transport",
+            "pool",
             "elems/s",
             "spawn ms",
             "ingest ms",
@@ -343,6 +422,19 @@ def _scale_table(result: dict) -> list[str]:
         f"simulated twin ({twin['workers']} workers): worst err / N = "
         f"{twin['worst_err_over_n']:.5f} (budget {2 * EPS:g})"
     )
+    persistence = result["persistence"]
+    lines.append(
+        f"{persistence['pairs']} alternating passes at "
+        f"{persistence['workers']} workers, median [q1, q3] ms: "
+        + "; ".join(
+            f"{name} {spread['median']:.1f} [{spread['q1']:.1f}, "
+            f"{spread['q3']:.1f}]"
+            for name, spread in (
+                ("one-shot", persistence["one_shot_pass_ms"]),
+                ("reused", persistence["reused_pass_ms"]),
+            )
+        )
+    )
     return lines
 
 
@@ -353,10 +445,9 @@ def test_parallel_scale_real_processes(benchmark):
     assert criteria["per_worker_shipment_bound"]["pass"]
     assert criteria["real_pool_within_2eps"]["pass"]
     assert criteria["simulated_twin_within_2eps"]["pass"]
-    # Transport-independent correctness is hardware-independent: assert
-    # it even on small hosts.
-    assert criteria["shm_bit_identical_to_bytes"]["pass"]
-    assert criteria["shm_descriptor_only_shipping"]["pass"]
+    # Reuse-independent correctness is hardware-independent: assert it
+    # even on small hosts.
+    assert criteria["reused_bit_identical_to_oneshot"]["pass"]
     # Speedup is hardware-dependent; under pytest only the recorded shape
     # is checked (the standalone full run enforces it on capable hosts).
     assert criteria["four_worker_speedup_vs_one"]["measured"] > 0
@@ -381,9 +472,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--enforce-monotone",
         action="store_true",
-        help="fail (even under --smoke) if the shm path's elems/s is not "
-        "monotone over the worker grid; no-op on < 4-core hosts, where "
-        "the criterion is recorded as skipped",
+        help="fail (even under --smoke) if the reused pool's elems/s is "
+        "not monotone over the worker grid; no-op on < 4-core hosts, "
+        "where the criterion is recorded as skipped",
     )
     parser.add_argument(
         "--out",
@@ -410,10 +501,10 @@ def main(argv=None) -> int:
             print(f"FAILED criteria: {failed}")
             return 1
     if args.enforce_monotone:
-        monotone = result["criteria"]["shm_monotone_speedup"]
+        monotone = result["criteria"]["reused_monotone_speedup"]
         if not monotone["pass"] and not monotone.get("skipped"):
             print(
-                "FAILED criteria: ['shm_monotone_speedup'] "
+                "FAILED criteria: ['reused_monotone_speedup'] "
                 f"(rates: {monotone['measured']})"
             )
             return 1

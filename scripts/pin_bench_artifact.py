@@ -42,7 +42,7 @@ RESULTS_DIR = REPO_ROOT / "benchmarks" / "results"
 #: Artifacts this script knows how to pin, with the top-level keys a
 #: genuine run of the producing bench always emits.
 KNOWN_ARTIFACTS: dict[str, list[str]] = {
-    "BENCH_parallel_scale.json": ["bench", "workers", "workers_shm", "criteria"],
+    "BENCH_parallel_scale.json": ["bench", "workers", "workers_reused", "criteria"],
     "BENCH_service.json": ["smoke", "mode"],
     "BENCH_throughput.json": ["smoke"],
     "BENCH_memory.json": ["smoke"],

@@ -1,12 +1,10 @@
 """replint pass ``resource-lifecycle``: acquire/release typestate checks.
 
 The Section 6 parallel protocol's memory bound only holds if every
-resource the runtime maps — shared-memory segments, file handles,
-persistent worker pools — is released on *every* exit path.
-``spawn-safety``'s RPL205 special-cased shared-memory acquisitions;
-this pass generalizes that check into typestate tracking over a small
-catalogue of resource classes, each with its acquire constructors,
-release methods, and owning-teardown method names.
+resource the runtime holds — file handles and persistent worker pools —
+is released on *every* exit path.  This pass tracks that typestate over
+a small catalogue of resource classes, each with its acquire
+constructors, release methods, and owning-teardown method names.
 
 An acquisition is *safe* when one of these holds:
 
@@ -21,7 +19,7 @@ An acquisition is *safe* when one of these holds:
 Codes:
 
 * ``RPL701`` — no visible release on any path: the resource outlives
-  its scope (a ``/dev/shm`` leak, an fd leak, a zombie worker pool).
+  its scope (an fd leak, a zombie worker pool).
 * ``RPL702`` — released on the happy path only (a plain ``x.close()``
   not inside ``finally``): an exception between acquire and release
   leaks the resource exactly when the system is already in trouble.
@@ -60,7 +58,7 @@ class _Resource:
 
     label: str
     #: Dotted names matched against the full call target, its last two
-    #: parts, or its last part (``ArenaSegment.create`` vs ``open``).
+    #: parts, or its last part (``tempfile.TemporaryFile`` vs ``open``).
     acquire: frozenset[str]
     #: Method names whose call on the bound name releases the resource.
     release: frozenset[str]
@@ -72,14 +70,6 @@ class _Resource:
 
 
 _RESOURCES = (
-    _Resource(
-        label="shared-memory segment",
-        acquire=frozenset(
-            {"ArenaSegment.create", "ArenaSegment.attach", "SharedMemory"}
-        ),
-        release=frozenset({"close", "unlink", "destroy"}),
-        teardown=frozenset({"close", "destroy", "__exit__", "__del__"}),
-    ),
     _Resource(
         label="file handle",
         acquire=frozenset(
@@ -132,7 +122,7 @@ class ResourceLifecyclePass(Pass):
         "packages": ["repro"],
         # Modules implementing a resource class manipulate raw handles
         # by design; their discipline is covered by their own tests.
-        "exempt-modules": ["repro.runtime.shm"],
+        "exempt-modules": [],
     }
 
     def check(

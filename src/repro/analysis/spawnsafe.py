@@ -24,17 +24,6 @@ interpreters).  This pass keeps the boundary honest:
 * ``RPL204`` — a process ``args=`` tuple containing a call or lambda:
   arguments must be pre-built plain data, not objects constructed
   inline on the parent side of the boundary.
-* ``RPL205`` — a shared-memory acquisition (``ArenaSegment.create`` /
-  ``ArenaSegment.attach``) with no visible release on exit paths: the
-  call must be a ``with`` item, sit in a function with a ``try`` whose
-  ``finally`` calls ``close``/``unlink``/``destroy``, or be stored on
-  ``self`` in a class that defines a teardown method.  A mapping with
-  no release path outlives its process as a ``/dev/shm`` leak.
-* ``RPL206`` — raw ``SharedMemory`` calls or segment-name prefix
-  literals outside the sanctioned shm module (``shm-module`` option):
-  names are minted in exactly one place so a leak scan of ``/dev/shm``
-  is conclusive and lifecycle hygiene cannot be bypassed.  Checked in
-  *every* scanned file, like ``RPL202``.
 """
 
 from __future__ import annotations
@@ -75,15 +64,6 @@ _PLAIN_TYPE_NAMES = {
     "Any",
 }
 
-#: Call tails (last two dotted parts) that map a shared-memory segment.
-_SHM_ACQUIRE_TAILS = {"ArenaSegment.create", "ArenaSegment.attach"}
-
-#: Attribute-call names that release a mapping or remove a name.
-_SHM_RELEASE_ATTRS = {"close", "unlink", "destroy"}
-
-#: Methods whose presence marks a class as owning segment teardown.
-_SHM_TEARDOWN_METHODS = {"close", "destroy", "__exit__", "__del__"}
-
 
 @register
 class SpawnSafetyPass(Pass):
@@ -95,15 +75,10 @@ class SpawnSafetyPass(Pass):
         "RPL202": "module-level multiprocessing side effect without __main__ guard",
         "RPL203": "cross-process payload field is not plain data",
         "RPL204": "process args built inline instead of pre-built plain data",
-        "RPL205": "shared-memory segment acquired without a release path",
-        "RPL206": "shared-memory name or raw SharedMemory outside the shm module",
     }
     default_options: dict[str, Any] = {
         "packages": ["repro.runtime", "repro.cluster"],
         "payload-suffixes": ["Spec", "Shipment", "Payload"],
-        "shm-module": "repro.runtime.shm",
-        # replint: disable=spawn-safety -- the rule's own default value
-        "shm-name-prefix": "repro-arena-",
     }
 
     def applies_to(self, module: SourceModule, options: Mapping[str, Any]) -> bool:
@@ -116,7 +91,6 @@ class SpawnSafetyPass(Pass):
         self, module: SourceModule, options: Mapping[str, Any]
     ) -> Iterator[Finding]:
         yield from self._check_module_level_side_effects(module)
-        yield from self._check_shm(module, options)
         if not super().applies_to(module, options):
             return
         toplevel_functions = {
@@ -297,129 +271,6 @@ class SpawnSafetyPass(Pass):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, ast.expr):
                     self._collect_non_plain(child, bad)
-
-    # -- RPL205 / RPL206: shared-memory lifecycle ----------------------
-
-    def _check_shm(
-        self, module: SourceModule, options: Mapping[str, Any]
-    ) -> Iterator[Finding]:
-        """Segment hygiene everywhere (the shm module itself is exempt)."""
-        shm_module = options.get("shm-module")
-        if shm_module and module.module == shm_module:
-            return
-        prefix = options.get("shm-name-prefix")
-        parents = {
-            child: parent
-            for parent in ast.walk(module.tree)
-            for child in ast.iter_child_nodes(parent)
-        }
-        for node in ast.walk(module.tree):
-            if (
-                prefix
-                and isinstance(node, ast.Constant)
-                and isinstance(node.value, str)
-                and prefix in node.value
-            ):
-                yield self._finding(
-                    module,
-                    node,
-                    "RPL206",
-                    f"segment-name prefix {prefix!r} appears as a literal; "
-                    f"import SEGMENT_PREFIX from {shm_module} so a leak "
-                    "scan of /dev/shm stays conclusive",
-                )
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = module.resolve(node.func)
-            if dotted is None:
-                continue
-            if dotted.rsplit(".", 1)[-1] == "SharedMemory" and (
-                dotted == "SharedMemory"
-                or dotted.startswith(("multiprocessing.", "shared_memory."))
-            ):
-                yield self._finding(
-                    module,
-                    node,
-                    "RPL206",
-                    f"raw `{dotted}(...)` outside {shm_module}; go through "
-                    "ArenaSegment so naming and close/unlink lifecycle "
-                    "stay in one module",
-                )
-            elif ".".join(dotted.split(".")[-2:]) in _SHM_ACQUIRE_TAILS:
-                if not self._shm_released(node, parents):
-                    yield self._finding(
-                        module,
-                        node,
-                        "RPL205",
-                        f"`{dotted}(...)` maps a segment with no visible "
-                        "release: use it as a `with` item, pair it with a "
-                        "try/finally calling close/unlink/destroy, or "
-                        "store it on `self` in a class with a teardown "
-                        "method",
-                    )
-
-    def _shm_released(
-        self, call: ast.Call, parents: Mapping[ast.AST, ast.AST]
-    ) -> bool:
-        """Whether an acquisition call has a visible release path."""
-        node: ast.AST = call
-        function: ast.AST | None = None
-        assigned_to_self = False
-        while node in parents:
-            parent = parents[node]
-            if isinstance(parent, ast.withitem):
-                # ``with ArenaSegment.create(...) as seg:`` — __exit__
-                # releases on every path out of the block.
-                return True
-            if (
-                isinstance(parent, (ast.Assign, ast.AnnAssign))
-                and self._targets_self(parent)
-            ):
-                assigned_to_self = True
-            if isinstance(
-                parent, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                if function is None:
-                    function = parent
-                    if self._has_release_finally(parent):
-                        return True
-            elif isinstance(parent, ast.ClassDef) and assigned_to_self:
-                # ``self._segment = ...`` inside a class that defines
-                # close/destroy/__exit__: teardown owns the release.
-                if any(
-                    isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and stmt.name in _SHM_TEARDOWN_METHODS
-                    for stmt in parent.body
-                ):
-                    return True
-            node = parent
-        return False
-
-    @staticmethod
-    def _targets_self(stmt: ast.Assign | ast.AnnAssign) -> bool:
-        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        return any(
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-            for target in targets
-        )
-
-    @staticmethod
-    def _has_release_finally(function: ast.AST) -> bool:
-        """A try/finally in the function whose finalbody releases."""
-        for node in ast.walk(function):
-            if not isinstance(node, ast.Try) or not node.finalbody:
-                continue
-            for final_stmt in node.finalbody:
-                for inner in ast.walk(final_stmt):
-                    if (
-                        isinstance(inner, ast.Call)
-                        and isinstance(inner.func, ast.Attribute)
-                        and inner.func.attr in _SHM_RELEASE_ATTRS
-                    ):
-                        return True
-        return False
 
     def _finding(
         self, module: SourceModule, node: ast.AST, code: str, message: str

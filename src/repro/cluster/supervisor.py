@@ -30,7 +30,6 @@ tests exercise.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import random
 import time
@@ -42,14 +41,15 @@ from repro.core.params import Plan, plan_parameters
 from repro.core.parallel import MergedSummary, MergeReport, merge_snapshots
 from repro.core.policy import CollapsePolicy
 from repro.core.unknown_n import EstimatorSnapshot, UnknownNQuantiles
-from repro.kernels import KernelBackend, get_backend
-from repro.streams.diskfile import CHUNK_VALUES, count_floats, plan_byte_ranges
+from repro.kernels import KernelBackend
 from repro.persist import (
     CheckpointCorruptError,
     CheckpointVersionError,
     load_checkpoint,
     save_checkpoint,
 )
+from repro.runtime import PersistentPool, WorkerReport
+from repro.streams.diskfile import CHUNK_VALUES, count_floats
 
 __all__ = [
     "ShardSupervisor",
@@ -241,64 +241,43 @@ class ShardSupervisor:
         start_method: str | None = None,
         chunk_values: int = CHUNK_VALUES,
         timeout: float | None = None,
-        transport: str = "bytes",
     ) -> SupervisorResult:
         """Host a real multi-process ingest pool over a float64 file.
 
         The supervised counterpart of
         :func:`repro.runtime.run_pool_on_file`: the file is byte-range
-        partitioned into ``num_shards`` slices, each scanned by its own
-        worker *process*, and the supervisor's existing semantics apply
-        to real process deaths —
+        partitioned into ``num_shards`` slices, each scanned by a worker
+        *process* of one :class:`~repro.runtime.PersistentPool` hosting
+        every retry round, and the supervisor's semantics apply to real
+        process deaths —
 
-        * a worker that dies (crash, OOM kill, injected
-          ``fault_plan.crash_at``) is retried with the configured
-          exponential backoff under the ``max_ship_attempts`` budget; a
-          retried slice is re-scanned under the *same* derived seed, so
-          its snapshot is bit-identical to one that never failed;
-        * a worker lost after the whole budget is surrendered: ``strict``
-          supervisors raise :class:`ShardLostError`, non-strict ones
-          serve a partial answer whose
+        * a shard whose worker dies (crash, OOM kill, injected
+          ``fault_plan.crash_at``) or whose item raises is retried with
+          the configured exponential backoff under the
+          ``max_ship_attempts`` budget; a dead worker is respawned at the
+          next dispatch and re-scans its slice under the *same* derived
+          seed, so its snapshot is bit-identical to one that never failed;
+        * a shard lost after the whole budget is surrendered: ``strict``
+          supervisors raise :class:`ShardLostError` naming the worker's
+          last error, non-strict ones serve a partial answer whose
           :class:`~repro.core.parallel.MergeReport` quantifies the lost
-          weight — never a hang, because dead processes are reaped, not
-          awaited.
+          weight — never a hang, because dead processes are reaped.
 
         Pool workers do not checkpoint mid-scan (a slice re-scan *is* the
         recovery path — sequential re-read beats checkpoint plumbing at
         scan speeds), so ``checkpoint_dir`` is not consulted here.
 
         :param backend: kernel backend for every pool worker
-            (``"python"``, ``"numpy"``, or None for the environment
-            default).
+            (``"python"``, ``"numpy"``, ``"native"``, or None for the
+            environment default).
         :param start_method: multiprocessing start method (``"fork"``,
             ``"spawn"``, ``"forkserver"``; None = platform default).
-        :param transport: ``"bytes"`` (default) spawns a fresh process
-            per shard per retry round and ships CRC-framed snapshot
-            blobs; ``"shm"`` hosts one
-            :class:`~repro.runtime.persistent.PersistentPool` across
-            *all* retry rounds — workers persist between attempts (dead
-            ones are respawned at the next dispatch), ingest into a
-            shared-memory segment, and ship offset descriptors.  A lost
-            segment region degrades exactly like a lost worker: the
-            shard's item errors, the round counts it lost, and the
-            retry/surrender accounting above applies unchanged.  Fixed
-            seeds give bit-identical answers under both transports.
+        :param timeout: budget in seconds for the whole supervised run,
+            retries and backoffs included.
         """
-        from repro.runtime.pool import run_file_shards
-
-        if transport not in ("bytes", "shm"):
-            raise ValueError(f"unknown transport {transport!r}")
-        backend_name = get_backend(backend).name
-        method = (
-            start_method
-            if start_method is not None
-            else multiprocessing.get_start_method()
-        )
-        policy_name = self._policy.name if self._policy is not None else None
         expected_n = count_floats(path)
-        ranges = plan_byte_ranges(path, self._num_shards)
         delivered: dict[int, EstimatorSnapshot] = {}
-        delivered_n: dict[int, int] = {}
+        reports: dict[int, WorkerReport] = {}
         pending = list(range(self._num_shards))
         # ``timeout`` is the caller's budget for the WHOLE supervised run,
         # retries and backoffs included — not a per-round allowance that
@@ -313,23 +292,15 @@ class ShardSupervisor:
                 return None
             return overall_deadline - time.monotonic()
 
-        pool = None
-        if transport == "shm":
-            from repro.runtime.persistent import PersistentPool
-
-            # One persistent pool hosts every retry round: workers (and
-            # the shared segment) survive between attempts, and only the
-            # shards still pending are re-dispatched.
-            pool = PersistentPool(
-                self._num_shards,
-                plan=self._plan,
-                policy=self._policy,
-                seed=self._pool_seed,
-                backend=backend_name,
-                start_method=method,
-                chunk_values=chunk_values,
-            )
-        try:
+        with PersistentPool(
+            self._num_shards,
+            plan=self._plan,
+            policy=self._policy,
+            seed=self._pool_seed,
+            backend=backend,
+            start_method=start_method,
+            chunk_values=chunk_values,
+        ) as pool:
             for attempt in range(1, self._max_ship_attempts + 1):
                 if not pending:
                     break
@@ -349,79 +320,37 @@ class ShardSupervisor:
                         shard_id, planned
                     ):
                         fail_after[shard_id] = planned
-                if pool is not None:
-                    round_delivered, _lost, _seconds = pool.run_file_shards(
-                        path,
-                        ranges,
-                        pending,
-                        master_seed=self._pool_seed,
-                        timeout=remaining,
-                        fail_after=fail_after,
-                    )
-                else:
-                    round_delivered, _lost, _leaked, _seconds, _spawn = (
-                        run_file_shards(
-                            path,
-                            ranges,
-                            pending,
-                            plan=self._plan,
-                            policy_name=policy_name,
-                            backend_name=backend_name,
-                            master_seed=self._pool_seed,
-                            start_method=method,
-                            chunk_values=chunk_values,
-                            timeout=remaining,
-                            fail_after=fail_after,
-                        )
-                    )
-                for shard_id, (
-                    snapshot,
-                    n,
-                    _bytes,
-                    _secs,
-                ) in round_delivered.items():
+                snapshots, reports = pool.run_file_shards(
+                    path, pending, timeout=remaining, fail_after=fail_after
+                )
+                for shard_id, snapshot in snapshots.items():
                     delivered[shard_id] = snapshot
-                    delivered_n[shard_id] = n
                     self.stats.ships_delivered += 1
                     if attempt > 1:
                         # A retried slice is re-consumed from byte zero.
-                        self.stats.replayed_elements += n
-                pending = sorted(set(pending) - set(round_delivered))
-            self.stats.shards_lost = pending
-            if pending and self._strict:
-                raise ShardLostError(
-                    f"shards {pending} were lost after "
-                    f"{self._max_ship_attempts} pool attempts; construct "
-                    "the supervisor with strict=False to serve a partial "
-                    "answer with a MergeReport"
-                )
-            snapshots: list[EstimatorSnapshot | None] = [
-                delivered.get(shard_id) for shard_id in range(self._num_shards)
-            ]
-            # Under shm transport the snapshots are zero-copy views into
-            # the pool's segment, so the merge must complete before the
-            # pool (and with it the segment) is torn down below.
-            summary = merge_snapshots(
-                snapshots,
-                policy=self._policy,
-                seed=self._merge_seed,
-                strict=False,
-                expected_n=expected_n,
-                backend=backend_name,
+                        self.stats.replayed_elements += reports[shard_id].n
+                pending = sorted(set(pending) - set(snapshots))
+        self.stats.shards_lost = pending
+        if pending and self._strict:
+            causes = "".join(
+                f"; shard {shard_id}: {reports[shard_id].error}"
+                for shard_id in pending
+                if shard_id in reports and reports[shard_id].error
             )
-        finally:
-            if pool is not None:
-                # The merge above copied everything it kept, so drop every
-                # reference to the zero-copy snapshot views before tearing
-                # the segment down — a mapping cannot close while views
-                # are exported.  ``snapshot`` is the dispatch loop's
-                # unpack target: it pins the last-iterated snapshot in
-                # this frame, so it must be cleared like the containers.
-                delivered.clear()
-                round_delivered = None  # noqa: F841
-                snapshots = None  # noqa: F841
-                snapshot = None  # noqa: F841
-                pool.close()
+            raise ShardLostError(
+                f"shards {pending} were lost after "
+                f"{self._max_ship_attempts} pool attempts{causes}; construct "
+                "the supervisor with strict=False to serve a partial answer "
+                "with a MergeReport"
+            )
+        summary = merge_snapshots(
+            [delivered.get(shard_id) for shard_id in range(self._num_shards)],
+            policy=self._policy,
+            seed=self._merge_seed,
+            strict=False,
+            expected_n=expected_n,
+            backend=backend,
+        )
         assert summary.report is not None
         return SupervisorResult(
             summary=summary, report=summary.report, stats=self.stats

@@ -22,7 +22,7 @@ arena only writes (optionally sorting in place) and views.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.kernels import KernelBackend
@@ -46,30 +46,19 @@ class BufferArena:
     :param capacity: elements per slot (the engine passes ``k``).
     :param backend: kernel backend deciding the storage form; ``None``
         means the pure-python reference backend.
-    :param buffer: shared-memory backing mode — a writable raw byte
-        buffer (a :mod:`multiprocessing.shared_memory` segment slice,
-        see :mod:`repro.runtime.shm`) of at least ``slots * capacity *
-        8`` bytes that the arena wraps *instead of allocating*.  All
-        slot writes, in-place sorts, and views then operate directly on
-        that mapping, so another process holding the same segment sees
-        every buffer without any bytes crossing a queue.  The arena
-        never owns the buffer's lifecycle: create/close/unlink stay with
-        the segment owner.
 
     The full store is allocated up front: the python backend's
     ``array('d')`` cannot grow while zero-copy memoryviews of it are
     exported, and a fixed footprint is the point of the data structure.
     """
 
-    __slots__ = ("_slots", "_capacity", "_backend", "_storage", "_shared")
+    __slots__ = ("_slots", "_capacity", "_backend", "_storage")
 
     def __init__(
         self,
         slots: int,
         capacity: int,
         backend: KernelBackend | None = None,
-        *,
-        buffer: Any | None = None,
     ) -> None:
         if slots < 1:
             raise ValueError(f"arena needs at least 1 slot, got {slots}")
@@ -82,20 +71,7 @@ class BufferArena:
         self._slots = slots
         self._capacity = capacity
         self._backend = backend
-        self._shared = buffer is not None
-        if buffer is None:
-            self._storage = backend.alloc_values(slots * capacity)
-        else:
-            needed = slots * capacity * FLOAT_BYTES
-            available = getattr(buffer, "nbytes", None)
-            if available is None:
-                available = len(buffer)
-            if available < needed:
-                raise ValueError(
-                    f"shared buffer holds {available} bytes; arena of "
-                    f"{slots}x{capacity} float64 needs {needed}"
-                )
-            self._storage = backend.wrap_values(buffer, slots * capacity)
+        self._storage = backend.alloc_values(slots * capacity)
 
     def __repr__(self) -> str:
         return (
@@ -117,11 +93,6 @@ class BufferArena:
     def backend(self) -> KernelBackend:
         """The kernel backend that owns the storage form."""
         return self._backend
-
-    @property
-    def shared(self) -> bool:
-        """True when the storage wraps an externally owned shared buffer."""
-        return self._shared
 
     @property
     def nbytes(self) -> int:

@@ -64,10 +64,6 @@ class CollapseEngine:
         between mutations, so repeated queries cost two binary searches
         instead of a full re-merge.  On by default; turning it off exists
         for the cache ablation benchmark and to shave O(b*k) memory.
-    :param arena_buffer: optional raw writable byte buffer backing the
-        arena (shared-memory mode; see
-        :class:`~repro.core.arena.BufferArena` and
-        :mod:`repro.runtime.shm`).  ``None`` allocates on the heap.
     """
 
     def __init__(
@@ -81,7 +77,6 @@ class CollapseEngine:
         alternate_even_offsets: bool = True,
         backend: str | KernelBackend | None = None,
         cache: bool = True,
-        arena_buffer: Any | None = None,
     ) -> None:
         if b < 2:
             raise ValueError(f"need at least 2 buffers, got b={b}")
@@ -101,11 +96,7 @@ class CollapseEngine:
         self._collapse_weight_sum = 0
         self._backend = get_backend(backend)
         # One contiguous b*k float64 store; every buffer is a view into it.
-        # With ``arena_buffer`` the store lives in an externally owned
-        # shared-memory mapping instead of the heap (repro.runtime.shm).
-        self._arena = BufferArena(
-            b, k, backend=self._backend, buffer=arena_buffer
-        )
+        self._arena = BufferArena(b, k, backend=self._backend)
         self._cache_enabled = cache
         self._version = 0
         self._cached_view: MergedView | None = None

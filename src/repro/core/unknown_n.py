@@ -97,10 +97,6 @@ class UnknownNQuantiles:
         instance, or None to consult ``REPRO_BACKEND``).  The numpy
         backend vectorises bulk ingest and Collapse; answers follow the
         same distribution either way.
-    :param arena_buffer: optional shared-memory backing for the engine's
-        buffer arena (see :mod:`repro.runtime.shm`): a writable byte
-        buffer of at least ``b * k * 8`` bytes.  Behaviour is identical
-        to the heap arena — only where the float64s live changes.
 
     Example::
 
@@ -123,7 +119,6 @@ class UnknownNQuantiles:
         trace: bool = False,
         allocator: AllocatorHook | None = None,
         backend: str | KernelBackend | None = None,
-        arena_buffer: Any | None = None,
     ) -> None:
         if plan is None:
             if eps is None or delta is None:
@@ -140,7 +135,6 @@ class UnknownNQuantiles:
             trace=trace,
             allocator=allocator,
             backend=self._backend,
-            arena_buffer=arena_buffer,
         )
         self._rng = rng if rng is not None else self._backend.make_rng(seed)
         self._sampler = BlockSampler(rate=1, rng=self._rng)

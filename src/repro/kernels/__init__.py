@@ -345,18 +345,6 @@ class KernelBackend:
         """
         raise NotImplementedError
 
-    def wrap_values(self, buffer: Any, count: int) -> Any:
-        """Backend-native storage over ``count`` float64s of a raw buffer.
-
-        The shared-memory arena mode: instead of allocating, wrap an
-        externally owned writable byte buffer (a
-        ``multiprocessing.shared_memory`` segment slice) so
-        :meth:`write_slot` / :meth:`slot_view` operate on it in place —
-        sort and Collapse then run directly on coordinator-visible
-        memory and "shipping" a buffer is an offset, not a copy.
-        """
-        raise NotImplementedError
-
     def write_slot(
         self, storage: Any, offset: int, values: Sequence[float], *, sort: bool
     ) -> None:

@@ -7,13 +7,11 @@ exactly that, so a python-level per-element loop cannot quietly creep
 back onto the hot path.
 
 Storage contract: identical to the python reference backend — arena
-slabs are ``array('d')`` (or a ``'d'``-cast memoryview over a
-shared-memory segment in wrap mode), slot views are memoryview slices,
-and kernel results are memoryviews over C-packed float64 bytes.  That
-identity is what keeps every downstream contract intact for free: v2
-checkpoint frames hoist the same buffer forms, ``condense_snapshot``
-reads the same snapshot columns, and PersistentPool workers ship the
-same shm descriptors.
+slabs are ``array('d')``, slot views are memoryview slices, and kernel
+results are memoryviews over C-packed float64 bytes.  That identity is
+what keeps every downstream contract intact for free: v2 checkpoint
+frames hoist the same buffer forms, and ``condense_snapshot`` reads the
+same snapshot columns that pool workers frame and ship.
 
 Determinism contract: the RNG is :class:`random.Random` (the reference
 kind) and the C block-sampling kernel calls it once per block with the
@@ -177,10 +175,6 @@ class NativeBackend(KernelBackend):
     # -- columnar arena storage (same forms as the python backend) ------
     def alloc_values(self, count: int) -> array[float]:
         return array("d", bytes(count * 8))
-
-    def wrap_values(self, buffer: Any, count: int) -> memoryview:
-        view: memoryview = memoryview(buffer).cast("d")
-        return view[:count]
 
     def write_slot(
         self, storage: Any, offset: int, values: Sequence[float], *, sort: bool

@@ -236,13 +236,6 @@ class NumpyBackend(KernelBackend):
     def alloc_values(self, count: int) -> np.ndarray:
         return np.zeros(count, dtype=np.float64)
 
-    def wrap_values(self, buffer: Any, count: int) -> np.ndarray:
-        # Shared-memory mode: an ndarray view over the raw segment bytes
-        # (no copy).  All slot writes/sorts then mutate the mapping that
-        # the coordinator also sees.
-        result: np.ndarray = np.frombuffer(buffer, dtype=np.float64, count=count)
-        return result
-
     def write_slot(
         self, storage: Any, offset: int, values: Sequence[float], *, sort: bool
     ) -> None:

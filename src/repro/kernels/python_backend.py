@@ -230,14 +230,6 @@ class PythonBackend(KernelBackend):
             values = array("d", values)  # e.g. an integer array batch
         storage[offset : offset + len(values)] = values
 
-    def wrap_values(self, buffer: Any, count: int) -> memoryview:
-        # The shared-memory mode's storage: a float64-typed memoryview
-        # over the raw segment bytes.  write_slot's slice assignment and
-        # slot_view's re-slicing both work on it unchanged, so sort and
-        # Collapse run in place on the shared mapping.
-        view: memoryview = memoryview(buffer).cast("d")
-        return view[:count]
-
     def slot_view(self, storage: Any, offset: int, length: int) -> memoryview:
         # A memoryview slice of the array('d'): random-access floats with
         # no per-element objects until an element is actually read.

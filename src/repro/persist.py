@@ -114,11 +114,11 @@ _CHECKPOINTABLE = {
 def _keep_columnar(data: Sequence[float]) -> Any:
     """Preserve a float column's packed form on its way into a state dict.
 
-    ``array('d')``, float64 ``memoryview``\\ s (heap arenas and
-    shared-memory arena views alike), and float64 ndarrays all pass
-    through untouched — :func:`_hoist_floats` hoists each with a single
-    ``tobytes`` memcpy, so checkpointing a snapshot never boxes its
-    floats into PyObjects.  Anything else degrades to a plain list.
+    ``array('d')``, float64 ``memoryview``\\ s (arena slot views), and
+    float64 ndarrays all pass through untouched — :func:`_hoist_floats`
+    hoists each with a single ``tobytes`` memcpy, so checkpointing a
+    snapshot never boxes its floats into PyObjects.  Anything else
+    degrades to a plain list.
     """
     if isinstance(data, array) and data.typecode == "d":
         return data
@@ -238,11 +238,10 @@ def _hoist_floats(value: Any, blob: bytearray) -> Any:
     qualifies because it *is* a ``float`` subclass.
 
     Packed float64 containers — ``array('d')``, one-dimensional
-    ``'d'``-format memoryviews (heap or shared-memory arena views), and
-    float64 ndarrays — hoist as one ``tobytes`` memcpy each, never
-    boxing elements; this is what lets a coordinator checkpoint
-    snapshots whose buffers are zero-copy views into a
-    :mod:`repro.runtime.shm` segment at memcpy speed.
+    ``'d'``-format memoryviews (arena slot views), and float64 ndarrays
+    — hoist as one ``tobytes`` memcpy each, never boxing elements, so
+    checkpointing a snapshot whose buffers are zero-copy arena views
+    runs at memcpy speed.
     """
     if isinstance(value, dict):
         return {key: _hoist_floats(sub, blob) for key, sub in value.items()}

@@ -5,27 +5,21 @@ single process; this package runs it on real operating-system processes.
 A stream (or a disk-resident float64 file) is sharded across ``W`` worker
 processes, each running one independent
 :class:`~repro.core.unknown_n.UnknownNQuantiles` with a deterministic
-per-worker seed; at end of stream every worker performs its final
+per-worker seed; at end of input every worker performs its final
 Collapse and ships — at most one full and at most one partial buffer,
-the Section 6 communication bound, measured on the wire — back to the
-coordinator, which runs the existing weight-matched
-:func:`~repro.core.parallel.merge_snapshots`.
+the Section 6 communication bound, measured on the wire as one
+CRC-framed snapshot — back to the coordinator, which runs the existing
+weight-matched :func:`~repro.core.parallel.merge_snapshots`.
 
-Two transports carry the shipment:
-
-* ``"bytes"`` — each worker sends one CRC-framed snapshot blob over the
-  result queue (:mod:`repro.runtime.pool`, the original engine);
-* ``"shm"`` — workers ingest directly into a shared-memory arena segment
-  and send ``(slot, length, weight, level)`` offset descriptors instead
-  (:mod:`repro.runtime.shm` + :mod:`repro.runtime.persistent`), with the
-  worker processes themselves persistent and reusable across runs.
-
-Fixed seeds give bit-identical answers under either transport, any start
-method, and any run count.
+One engine does it all: :class:`PersistentPool` spawns its workers once
+and reuses them run after run, respawning any that died;
+:func:`run_pool_on_file` and :func:`run_pool_on_stream` are one-shot
+uses of it.  Fixed seeds give bit-identical answers on a fresh pool or a
+reused one, under any start method.
 """
 
-from repro.runtime.persistent import PersistentPool
 from repro.runtime.pool import (
+    PersistentPool,
     PoolResult,
     PoolWorkerError,
     WorkerReport,
@@ -34,25 +28,13 @@ from repro.runtime.pool import (
     run_pool_on_stream,
     seed_for_worker,
 )
-from repro.runtime.shm import (
-    SEGMENT_PREFIX,
-    ArenaSegment,
-    PoolLayout,
-    ShipDescriptor,
-    list_segments,
-)
 
 __all__ = [
-    "ArenaSegment",
     "PersistentPool",
-    "PoolLayout",
     "PoolResult",
     "PoolWorkerError",
-    "SEGMENT_PREFIX",
-    "ShipDescriptor",
     "WorkerReport",
     "available_start_methods",
-    "list_segments",
     "run_pool_on_file",
     "run_pool_on_stream",
     "seed_for_worker",

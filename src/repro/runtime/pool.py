@@ -1,41 +1,53 @@
-"""The multi-process pool engine behind :mod:`repro.runtime`.
+"""The one multi-process pool engine behind :mod:`repro.runtime`.
 
 Design constraints, in the order they shaped the code:
 
-* **Spawn-safe, no estimator pickling.**  Workers are plain top-level
-  functions started through any :mod:`multiprocessing` start method
-  (``fork``, ``spawn``, ``forkserver``).  Everything that crosses a
-  process boundary is primitive data: a :class:`WorkerSpec` of ints and
-  strings on the way in, and the CRC-framed snapshot bytes of
-  :mod:`repro.persist` on the way out — the same verified wire format the
-  checkpoint layer already uses, so a torn or corrupt result is detected
-  by the frame, never trusted.
+* **Spawn-safe, no estimator pickling.**  Every worker runs the one
+  top-level function :func:`_pool_worker` under any :mod:`multiprocessing`
+  start method.  Everything that crosses a process boundary is primitive
+  data: a :class:`WorkerSpec` at spawn, work items and stream chunks on
+  the worker's control queue, and one CRC-framed :mod:`repro.persist`
+  snapshot per item on the way back — a torn or corrupt result is
+  detected by the frame, never trusted.
+* **Persistent.**  A :class:`PersistentPool` spawns its workers once and
+  deals each one work item per round: a byte range of a file, or a
+  stream whose chunks follow the item on the same queue.  Each item gets
+  a fresh estimator under the item's own seed, so a reused worker ships
+  exactly what a freshly spawned one would.  :func:`run_pool_on_file`
+  and :func:`run_pool_on_stream` build a pool, run one round, close it.
 * **Deterministic.**  Worker ``w`` always ingests the same sub-stream
   (its byte range of the file, or every ``W``-th chunk of the stream) with
   the seed :func:`seed_for_worker`\\ ``(seed, w)`` — a SHA-256 derivation
   that is identical across runs, platforms, and start methods (unlike
-  ``hash()``), so a fixed-seed pool run is bit-identical wherever it runs.
+  ``hash()``), so a fixed-seed run is bit-identical wherever it runs.
 * **Crash != hang.**  The collector never blocks on a worker that died:
-  processes found dead with a non-zero exit code are reaped as lost
-  shards, and the merge degrades through the existing
-  ``merge_snapshots(strict=False)`` path with a
-  :class:`~repro.core.parallel.MergeReport` quantifying the loss.
+  a dead worker is a lost shard, an item that raised is a lost shard whose
+  ``TypeName: message`` rides on its :class:`WorkerReport`, and the merge
+  degrades through ``merge_snapshots(strict=False)`` with a
+  :class:`~repro.core.parallel.MergeReport` quantifying the loss.  Dead
+  workers are respawned at the next dispatch.
 * **The communication bound is measured, not assumed.**  Each worker's
-  shipped payload is exactly one framed snapshot whose byte length the
+  shipment is exactly one framed snapshot whose byte length the
   coordinator records; the per-shard full/partial buffer counts appear on
   ``MergeReport.shipments``.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import dataclasses
+import functools
 import hashlib
+import itertools
 import multiprocessing as mp
 import os
 import queue as queue_mod
 import random as random_mod
 import time
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from types import TracebackType
 from typing import Any
 
 from repro import persist
@@ -57,13 +69,13 @@ from repro.streams.diskfile import (
 )
 
 __all__ = [
+    "PersistentPool",
     "PoolResult",
     "PoolWorkerError",
     "WorkerReport",
     "WorkerSpec",
     "available_start_methods",
     "reap_processes",
-    "run_file_shards",
     "run_pool_on_file",
     "run_pool_on_stream",
     "seed_for_worker",
@@ -76,11 +88,16 @@ FAULT_EXIT_CODE = 70
 #: to keep per-worker queues shallow, large enough to amortise pickling).
 STREAM_CHUNK_VALUES = 8_192
 
-#: Depth of each worker's inbound chunk queue in stream mode.
+#: Depth of each worker's control queue (work items and stream chunks).
 _QUEUE_DEPTH = 4
 
 #: Seconds between liveness sweeps while waiting on worker results.
 _POLL_SECONDS = 0.1
+
+#: Seconds a parked worker waits on its control queue before checking
+#: whether its coordinator is still alive (orphan detection: a SIGKILLed
+#: coordinator must not leave workers parked forever).
+_ORPHAN_POLL_SECONDS = 1.0
 
 #: Seconds granted to each stage of the shutdown escalation
 #: (join -> terminate -> kill); module-level so tests can shrink it.
@@ -95,24 +112,28 @@ class PoolWorkerError(RuntimeError):
     """A strict-mode pool lost one or more workers.
 
     Carries the lost worker ids and their exit codes so callers can
-    distinguish an injected fault from an OOM kill from a bug, plus any
-    workers that had to be escalated past SIGTERM at shutdown
-    (``leaked``: worker id -> what it took to reap them).
+    distinguish an injected fault from an OOM kill from a bug, the
+    ``TypeName: message`` of every item that raised inside a worker
+    (``errors``), plus any workers that had to be escalated past SIGTERM
+    at shutdown (``leaked``: worker id -> what it took to reap them).
     """
 
     def __init__(
         self,
         lost: dict[int, int | None],
         leaked: dict[int, str] | None = None,
+        errors: dict[int, str] | None = None,
     ) -> None:
         self.lost = dict(lost)
         self.leaked = dict(leaked or {})
-        codes = ", ".join(
-            f"worker {wid} (exit code {code})" for wid, code in sorted(lost.items())
+        self.errors = dict(errors or {})
+        causes = ", ".join(
+            f"worker {wid} ({self.errors.get(wid) or f'exit code {code}'})"
+            for wid, code in sorted(lost.items())
         )
         message = (
-            f"{len(self.lost)} pool worker(s) died without shipping a "
-            f"snapshot: {codes}; pass strict=False to merge the survivors "
+            f"{len(self.lost)} pool worker(s) failed without shipping a "
+            f"snapshot: {causes}; pass strict=False to merge the survivors "
             "into a partial answer with a MergeReport"
             if self.lost
             else "pool shutdown had to escalate past SIGTERM"
@@ -156,108 +177,108 @@ def available_start_methods() -> list[str]:
 
 @dataclass(frozen=True, slots=True)
 class WorkerSpec:
-    """Everything one pool worker needs, as picklable plain data.
+    """What one pool worker needs for its whole life, as plain data.
 
-    ``plan`` is the :class:`~repro.core.params.Plan` serialised to a dict
-    of primitives and ``policy_name`` the collapse policy's registry name,
+    ``plan`` is the :class:`~repro.core.params.Plan` as a dict of
+    primitives and ``policy_name`` the collapse policy's registry name,
     so the spec crosses a ``spawn`` boundary without importing anything
-    but this module on the far side.
+    but this module on the far side.  What varies per item (the file
+    slice or stream, the seed, fault injection) arrives later as a work
+    item on the worker's control queue.
     """
 
     worker_id: int
-    seed: int
     backend: str
     plan: dict[str, Any]
     policy_name: str | None
+    #: Values per read when scanning a file slice.
     chunk_values: int
-    #: File mode: scan ``path[start:stop)`` (byte offsets).  ``None`` path
-    #: means stream mode — chunks arrive on the worker's inbound queue.
-    path: str | None = None
-    start: int = 0
-    stop: int = 0
-    #: Fault injection: die (``os._exit``) after ingesting this many
-    #: elements — a deterministic stand-in for SIGKILL in tests.
-    fail_after: int | None = None
 
 
-def _plan_to_dict(plan: Plan) -> dict[str, Any]:
-    return {
-        "eps": plan.eps,
-        "delta": plan.delta,
-        "b": plan.b,
-        "k": plan.k,
-        "h": plan.h,
-        "alpha": plan.alpha,
-        "leaves_before_sampling": plan.leaves_before_sampling,
-        "leaves_per_level": plan.leaves_per_level,
-        "policy_name": plan.policy_name,
-    }
+def _receive(control: Any, parent: int) -> Any:
+    """The next control message, or ``None`` once the coordinator is gone.
+
+    Polling lets a parked worker notice that its coordinator was
+    SIGKILLed (the worker is re-parented) and leave instead of waiting
+    forever on a queue nobody writes to any more.
+    """
+    while True:
+        try:
+            return control.get(timeout=_ORPHAN_POLL_SECONDS)
+        except queue_mod.Empty:
+            if os.getppid() != parent:
+                return None
 
 
-def _plan_from_dict(state: dict[str, Any]) -> Plan:
-    return Plan(
-        eps=float(state["eps"]),
-        delta=float(state["delta"]),
-        b=int(state["b"]),
-        k=int(state["k"]),
-        h=int(state["h"]),
-        alpha=float(state["alpha"]),
-        leaves_before_sampling=int(state["leaves_before_sampling"]),
-        leaves_per_level=int(state["leaves_per_level"]),
-        policy_name=state["policy_name"],
-    )
+def _pool_worker(spec: WorkerSpec, control: Any, results: Any) -> None:
+    """A long-lived shard worker: park, ingest one work item, ship, repeat.
+
+    A work item is ``(seq, seed, fail_after, path, start, stop)``: the
+    byte range ``[start, stop)`` of ``path``, or — when ``path`` is None —
+    the stream chunks that follow the item on the control queue, up to a
+    ``None``.  A ``None`` in place of an item shuts the worker down.  An
+    item that raises ships its ``TypeName: message`` instead of a frame,
+    and the worker stays up for the next one.
+    """
+    parent = os.getppid()
+    while (item := _receive(control, parent)) is not None:
+        seq, seed, fail_after, path, start, stop = item
+        chunks: Iterator[Sequence[float]]
+        if path is None:
+            chunks = iter(functools.partial(_receive, control, parent), None)
+        else:
+            # Zero-copy scan: one resident buffer readinto'd per chunk;
+            # update_batch copies what it keeps before the next read.
+            chunks = read_float_chunks(
+                path, spec.chunk_values, start=start, stop=stop, reuse_buffer=True
+            )
+        error = None
+        try:
+            frame, n, seconds = _ingest(spec, seed, fail_after, chunks)
+        except Exception as exc:
+            frame, n, seconds = b"", 0, 0.0
+            error = f"{type(exc).__name__}: {exc}"
+            if path is None:
+                # Drain the rest of the stream so the next read is an item.
+                collections.deque(chunks, maxlen=0)
+        results.put((spec.worker_id, seq, frame, n, seconds, error))
 
 
-def _pool_worker(spec: WorkerSpec, chunk_queue: Any, result_queue: Any) -> None:
-    """One shard worker: build, ingest, final-collapse snapshot, ship.
+def _ingest(
+    spec: WorkerSpec,
+    seed: int,
+    fail_after: int | None,
+    chunks: Iterable[Sequence[float]],
+) -> tuple[bytes, int, float]:
+    """Summarise one item; return its framed snapshot, n and ingest seconds.
 
-    Runs in a child process.  The only bytes shipped back are one framed
-    snapshot — after the estimator's own final state, that is at most one
-    full and one partial buffer (Section 6's bound).
+    The worker performs its own final Collapse (Section 6), so at most one
+    full + one partial buffer cross the process boundary instead of the
+    whole ``b*k`` pool.  The merge is bit-identical — the coordinator
+    would have applied the very same deterministic collapse on receipt.
     """
     estimator = UnknownNQuantiles(
-        plan=_plan_from_dict(spec.plan),
+        plan=Plan(**spec.plan),
         policy=(
             policy_from_name(spec.policy_name)
             if spec.policy_name is not None
             else None
         ),
-        seed=spec.seed,
+        seed=seed,
         backend=spec.backend,
     )
-    if spec.path is not None:
-        # Zero-copy scan: one resident buffer readinto'd per chunk;
-        # update_batch copies what it keeps into the arena before the
-        # next read overwrites the buffer.
-        chunks: Iterable[Sequence[float]] = read_float_chunks(
-            spec.path,
-            spec.chunk_values,
-            start=spec.start,
-            stop=spec.stop,
-            reuse_buffer=True,
-        )
-    else:
-        chunks = iter(chunk_queue.get, None)
     started = time.perf_counter()
     for chunk in chunks:
-        if (
-            spec.fail_after is not None
-            and estimator.n + len(chunk) > spec.fail_after
-        ):
-            head = chunk[: spec.fail_after - estimator.n]
+        if fail_after is not None and estimator.n + len(chunk) > fail_after:
+            head = chunk[: fail_after - estimator.n]
             if len(head):
                 estimator.update_batch(head)
             # Die the way a killed process does: no snapshot, no cleanup.
             os._exit(FAULT_EXIT_CODE)
         estimator.update_batch(chunk)
-    elapsed = time.perf_counter() - started
-    # Ship the condensed snapshot: the worker performs its own final
-    # Collapse (Section 6), so at most one full + one partial buffer
-    # cross the process boundary instead of the whole b*k pool.  The
-    # merge is bit-identical — the coordinator would have applied the
-    # very same deterministic collapse on receipt.
+    seconds = time.perf_counter() - started
     frame = persist.dumps(condense_snapshot(estimator.snapshot()))
-    result_queue.put((spec.worker_id, frame, estimator.n, elapsed))
+    return frame, estimator.n, seconds
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +287,12 @@ def _pool_worker(spec: WorkerSpec, chunk_queue: Any, result_queue: Any) -> None:
 
 @dataclass
 class WorkerReport:
-    """Per-worker accounting of one pool run."""
+    """Per-worker accounting of one pool run.
+
+    ``error`` is the ``TypeName: message`` of an item that raised inside
+    the worker (the worker itself stayed up); ``exitcode`` is set when
+    the worker process died instead.
+    """
 
     worker_id: int
     n: int = 0
@@ -274,6 +300,7 @@ class WorkerReport:
     ingest_seconds: float = 0.0
     lost: bool = False
     exitcode: int | None = None
+    error: str | None = None
     full_buffers: int = 0
     partial_buffers: int = 0
     full_elements: int = 0
@@ -291,15 +318,14 @@ class PoolResult:
     :ivar expected_n: elements the full input held (file size, or the
         count dispatched by the stream driver — including chunks routed
         to workers that later died).
-    :ivar ingest_seconds: wall time from pool start to the last result.
+    :ivar ingest_seconds: wall time from dispatch to the last result; the
+        one-shot functions count from the spawn and include the reap, as
+        their every run starts and stops its own processes.
     :ivar merge_seconds: wall time of the coordinator merge.
     :ivar spawn_seconds: wall time spent starting worker processes for
-        this run — the whole spawn for the one-shot drivers, respawns
-        only under a reused :class:`~repro.runtime.persistent.
-        PersistentPool` (whose one-time spawn cost lives on the pool).
-    :ivar transport: how snapshots crossed the process boundary —
-        ``"bytes"`` (CRC-framed blobs on the queue) or ``"shm"``
-        (offset descriptors into a shared-memory segment).
+        this run — the whole spawn for the one-shot functions, respawns
+        only under a reused :class:`PersistentPool` (whose one-time spawn
+        cost lives on the pool).
     :ivar leaked: workers whose shutdown had to escalate past a plain
         join (worker id -> what it took to reap them); non-empty even on
         a successful merge, so an escalation is never silently dropped.
@@ -314,7 +340,6 @@ class PoolResult:
     ingest_seconds: float = 0.0
     merge_seconds: float = 0.0
     spawn_seconds: float = 0.0
-    transport: str = "bytes"
     leaked: dict[int, str] = field(default_factory=dict)
 
     @property
@@ -338,38 +363,6 @@ class PoolResult:
         return self.summary.query_many(phis)
 
 
-def _resolve(
-    num_workers: int,
-    eps: float | None,
-    delta: float | None,
-    plan: Plan | None,
-    policy: CollapsePolicy | None,
-    backend: Any,
-    seed: int | None,
-    start_method: str | None,
-) -> tuple[Plan, str | None, str, int, str]:
-    """Shared argument resolution for both pool drivers."""
-    if num_workers < 1:
-        raise ValueError(f"need at least one worker, got {num_workers}")
-    if plan is None:
-        if eps is None or delta is None:
-            raise ValueError("provide either (eps, delta) or an explicit plan")
-        plan = plan_parameters(eps, delta, policy=policy)
-    backend_name = get_backend(backend).name  # validate in the parent
-    if seed is None:
-        # Fresh entropy per run, like an unseeded estimator; fixed seeds
-        # are what make pool runs reproducible.
-        seed = random_mod.SystemRandom().randrange(2**62)
-    method = start_method if start_method is not None else mp.get_start_method()
-    if method not in mp.get_all_start_methods():
-        raise ValueError(
-            f"start method {method!r} is not available on this platform; "
-            f"choose from {mp.get_all_start_methods()}"
-        )
-    policy_name = policy.name if policy is not None else None
-    return plan, policy_name, backend_name, seed, method
-
-
 def reap_processes(procs: dict[int, mp.process.BaseProcess]) -> dict[int, str]:
     """Join every worker, escalating join -> SIGTERM -> SIGKILL.
 
@@ -381,8 +374,8 @@ def reap_processes(procs: dict[int, mp.process.BaseProcess]) -> dict[int, str]:
     :class:`PoolWorkerError` instead of hiding it.
 
     Exported because the same teardown discipline guards every
-    process-owning layer: the pool drivers here, :class:`PersistentPool`,
-    and the serving tier's :mod:`repro.service.supervisor`.
+    process-owning layer: :class:`PersistentPool` here and the serving
+    tier's :mod:`repro.service.supervisor`.
     """
     leaked: dict[int, str] = {}
     for worker_id, process in sorted(procs.items()):
@@ -407,206 +400,464 @@ def reap_processes(procs: dict[int, mp.process.BaseProcess]) -> dict[int, str]:
     return leaked
 
 
-def _collect(
-    procs: dict[int, mp.process.BaseProcess],
-    result_queue: Any,
-    timeout: float | None,
-) -> tuple[
-    dict[int, tuple[bytes, int, float]],
-    dict[int, int | None],
-    dict[int, str],
-]:
-    """Wait for every worker to ship or die; never hang on a corpse.
+def _iter_chunks(
+    values: Iterable[float], chunk_values: int
+) -> Iterator[list[float]]:
+    """Slice any iterable into picklable list chunks of ``chunk_values``."""
+    iterator = iter(values)
+    while chunk := list(itertools.islice(iterator, chunk_values)):
+        yield chunk
 
-    Returns ``(results, lost, leaked)`` where ``results[wid] = (frame,
-    n, seconds)``, ``lost[wid]`` is the exit code of a worker that died
-    without shipping, and ``leaked`` records workers whose shutdown had
-    to escalate past a plain join (see :func:`_reap`).  A worker that
-    exited cleanly is only considered delivered once its queued result
-    has been drained (the queue feeder flushes before exit, so the data
-    always arrives); a non-zero exit code reaps the worker immediately.
+
+def _close_queue(channel: Any) -> None:
+    channel.close()
+    channel.cancel_join_thread()
+
+
+@dataclass
+class _Round:
+    """What one dispatch round brought back, before any merge."""
+
+    seed: int
+    snapshots: dict[int, EstimatorSnapshot]
+    reports: dict[int, WorkerReport]
+    #: Dispatch to the last result (one-shot runs widen it; see PoolResult).
+    seconds: float
+    #: Process starts this round paid for.
+    spawn_seconds: float
+    #: Elements the round's input held (file size, or values dispatched).
+    expected_n: int = 0
+
+
+class PersistentPool:
+    """A spawn-once worker pool for Section 6's parallel ingest.
+
+    Construction resolves the plan and starts all ``num_workers``
+    processes; :meth:`run_file` can then be called any number of times —
+    each call deals one work item to each already-running worker and
+    merges the framed snapshots they ship.
+    Workers that died (crash, injected fault, timeout) are respawned at
+    the next dispatch, which is what the supervisor's retry rounds lean
+    on.  Always :meth:`close` (or use ``with``): that is what reaps the
+    processes.
+
+    :param num_workers: worker processes (= shards per run).
+    :param eps, delta: accuracy contract (or pass ``plan``).
+    :param plan: explicit parameter plan; overrides eps/delta planning.
+    :param policy: collapse policy (default: the paper's MRL policy).
+    :param seed: master seed for per-item worker seeds and the merge;
+        fresh entropy when ``None``.  A fixed seed makes every run
+        bit-identical to a fresh pool's, and to the one-shot functions'.
+    :param backend: kernel backend name/instance for every worker.
+    :param start_method: multiprocessing start method (``None`` =
+        platform default).
+    :param chunk_values: values per read chunk in the workers' file scans.
     """
-    deadline = None if timeout is None else time.monotonic() + timeout
-    results: dict[int, tuple[bytes, int, float]] = {}
-    lost: dict[int, int | None] = {}
-    pending = set(procs)
-    while pending:
+
+    def __init__(
+        self,
+        num_workers: int,
+        *,
+        eps: float | None = None,
+        delta: float | None = None,
+        plan: Plan | None = None,
+        policy: CollapsePolicy | None = None,
+        seed: int | None = None,
+        backend: Any = None,
+        start_method: str | None = None,
+        chunk_values: int = CHUNK_VALUES,
+    ) -> None:
+        if num_workers < 1:
+            raise ValueError(f"need at least one worker, got {num_workers}")
+        if plan is None:
+            if eps is None or delta is None:
+                raise ValueError("provide either (eps, delta) or an explicit plan")
+            plan = plan_parameters(eps, delta, policy=policy)
+        method = start_method if start_method is not None else mp.get_start_method()
+        if method not in mp.get_all_start_methods():
+            raise ValueError(
+                f"start method {method!r} is not available on this platform; "
+                f"choose from {mp.get_all_start_methods()}"
+            )
+        self._plan = plan
+        self._policy = policy
+        self._backend_name = get_backend(backend).name  # validate in the parent
+        # Fresh entropy per unseeded pool, like an unseeded estimator;
+        # fixed seeds are what make pool runs reproducible.
+        self._seed = (
+            seed if seed is not None else random_mod.SystemRandom().randrange(2**62)
+        )
+        self._method = method
+        self._chunk_values = chunk_values
+        self._num_workers = num_workers
+        self._ctx = mp.get_context(method)
+        self._results: Any = self._ctx.Queue()
+        self._control: dict[int, Any] = {}
+        self._procs: dict[int, mp.process.BaseProcess] = {}
+        self._seq = 0
+        self._respawns = 0
+        self._closed = False
+        self._spawn_started = time.perf_counter()
         try:
-            worker_id, frame, n, seconds = result_queue.get(timeout=_POLL_SECONDS)
-        except queue_mod.Empty:
-            for worker_id in sorted(pending):
-                process = procs[worker_id]
-                if not process.is_alive() and process.exitcode not in (0, None):
-                    lost[worker_id] = process.exitcode
-                    pending.discard(worker_id)
-            if deadline is not None and time.monotonic() > deadline:
-                for worker_id in sorted(pending):
-                    procs[worker_id].terminate()
-                    lost[worker_id] = None  # timed out; no exit code yet
-                pending.clear()
-        else:
-            results[worker_id] = (frame, n, seconds)
-            pending.discard(worker_id)
-    leaked = reap_processes(procs)
-    return results, lost, leaked
+            for wid in range(num_workers):
+                self._spawn(wid)
+        except BaseException:
+            # A half-built pool must not leak the workers it did start.
+            self.close()
+            raise
+        self._spawn_seconds = time.perf_counter() - self._spawn_started
 
+    # -- introspection -------------------------------------------------
+    @property
+    def num_workers(self) -> int:
+        """Workers the pool was sized for (= shards per run)."""
+        return self._num_workers
 
-def _load_snapshots(
-    results: dict[int, tuple[bytes, int, float]],
-    lost: dict[int, int | None],
-    num_workers: int,
-) -> tuple[list[EstimatorSnapshot | None], list[WorkerReport]]:
-    """Verify each shipped frame and build the per-worker reports."""
-    snapshots: list[EstimatorSnapshot | None] = [None] * num_workers
-    reports = [WorkerReport(worker_id=wid) for wid in range(num_workers)]
-    for worker_id, (frame, n, seconds) in results.items():
-        report = reports[worker_id]
-        try:
-            snapshot = persist.loads(frame)
-        except persist.CheckpointError:
-            # A corrupt frame is a lost shard, not a poisoned merge.
-            lost[worker_id] = None
-            continue
-        snapshots[worker_id] = snapshot
-        report.n = n
-        report.shipped_bytes = len(frame)
-        report.ingest_seconds = seconds
-    for worker_id, exitcode in lost.items():
-        reports[worker_id].lost = True
-        reports[worker_id].exitcode = exitcode
-    return snapshots, reports
+    @property
+    def seed(self) -> int:
+        """The resolved master seed runs default to."""
+        return self._seed
 
+    @property
+    def start_method(self) -> str:
+        """The resolved multiprocessing start method."""
+        return self._method
 
-def _merge_pool(
-    snapshots: list[EstimatorSnapshot | None],
-    reports: list[WorkerReport],
-    lost: dict[int, int | None],
-    *,
-    policy: CollapsePolicy | None,
-    master_seed: int,
-    backend_name: str,
-    strict: bool,
-    expected_n: int,
-    start_method: str,
-    ingest_seconds: float,
-    leaked: dict[int, str] | None = None,
-) -> PoolResult:
-    """Coordinator merge + result assembly shared by both drivers."""
-    leaked = dict(leaked or {})
-    if lost and strict:
-        raise PoolWorkerError(lost, leaked)
-    if lost and not any(snap is not None and snap.n > 0 for snap in snapshots):
-        # Degraded mode can survive lost shards, but not losing them all:
-        # with no surviving data there is no partial answer to give.
-        raise PoolWorkerError(lost, leaked)
-    if strict and any(_SURVIVED_SIGKILL in what for what in leaked.values()):
-        # Every result arrived, but a worker outlived SIGKILL: that is a
-        # real process leak, and strict callers asked to hear about it.
-        raise PoolWorkerError({}, leaked)
-    merge_started = time.perf_counter()
-    summary = merge_snapshots(
-        snapshots,
-        policy=policy,
-        seed=_derive_seed(master_seed, "merge"),
-        strict=False,
-        expected_n=expected_n,
-        backend=backend_name,
-    )
-    merge_seconds = time.perf_counter() - merge_started
-    assert summary.report is not None
-    for shipment in summary.report.shipments:
-        report = reports[shipment.shard_id]
-        report.full_buffers = shipment.full_buffers
-        report.partial_buffers = shipment.partial_buffers
-        report.full_elements = shipment.full_elements
-        report.partial_elements = shipment.partial_elements
-    return PoolResult(
-        summary=summary,
-        report=summary.report,
-        workers=reports,
-        n=summary.n,
-        expected_n=expected_n,
-        start_method=start_method,
-        ingest_seconds=ingest_seconds,
-        merge_seconds=merge_seconds,
-        leaked=leaked,
-    )
+    @property
+    def spawn_seconds(self) -> float:
+        """One-time cost of starting the worker processes.
 
+        The number the persistence amortises: a campaign of ``R`` runs
+        pays it once instead of ``R`` times.
+        """
+        return self._spawn_seconds
 
-def run_file_shards(
-    path: str | os.PathLike[str],
-    ranges: Sequence[tuple[int, int]],
-    worker_ids: Iterable[int],
-    *,
-    plan: Plan,
-    policy_name: str | None,
-    backend_name: str,
-    master_seed: int,
-    start_method: str,
-    chunk_values: int = CHUNK_VALUES,
-    timeout: float | None = None,
-    fail_after: dict[int, int] | None = None,
-) -> tuple[
-    dict[int, tuple[EstimatorSnapshot, int, int, float]],
-    dict[int, int | None],
-    dict[int, str],
-    float,
-    float,
-]:
-    """One attempt at a set of byte-range workers; no merging, no policy.
+    @property
+    def respawns(self) -> int:
+        """Workers restarted after a death (retry rounds, faults)."""
+        return self._respawns
 
-    The building block :func:`run_pool_on_file` runs once over all
-    workers and :meth:`repro.cluster.ShardSupervisor.run_pool` composes
-    into retry rounds (a lost worker's slice is simply re-scanned by a
-    fresh process under the *same* derived seed, so a retried shard's
-    snapshot is bit-identical to one that never failed).
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`close` has torn the pool down."""
+        return self._closed
 
-    Returns ``(delivered, lost, leaked, seconds, spawn_seconds)`` where
-    ``delivered[wid] = (snapshot, n, shipped_bytes, ingest_seconds)``,
-    ``lost[wid]`` is the exit code of a worker that died without
-    shipping a verifiable frame, ``leaked`` records workers whose
-    shutdown had to escalate past a plain join (see :func:`_reap`), and
-    ``spawn_seconds`` is the process-start phase alone — the per-run tax
-    a :class:`~repro.runtime.persistent.PersistentPool` amortises away.
-    """
-    ctx = mp.get_context(start_method)
-    result_queue = ctx.Queue()
-    procs: dict[int, mp.process.BaseProcess] = {}
-    started = time.perf_counter()
-    for wid in worker_ids:
-        start, stop = ranges[wid]
+    # -- lifecycle -----------------------------------------------------
+    def _spawn(self, wid: int) -> None:
+        """Start worker ``wid`` on a fresh control queue.
+
+        Never the old queue: a worker that died mid-stream may have left
+        chunks in it, or died holding its read lock.
+        """
+        if wid in self._control:
+            _close_queue(self._control[wid])
+        control = self._ctx.Queue(maxsize=_QUEUE_DEPTH)
+        self._control[wid] = control
         spec = WorkerSpec(
             worker_id=wid,
-            seed=seed_for_worker(master_seed, wid),
-            backend=backend_name,
-            plan=_plan_to_dict(plan),
-            policy_name=policy_name,
-            chunk_values=chunk_values,
-            path=os.fspath(path),
-            start=start,
-            stop=stop,
-            fail_after=(fail_after or {}).get(wid),
+            backend=self._backend_name,
+            plan=dataclasses.asdict(self._plan),
+            policy_name=self._policy.name if self._policy is not None else None,
+            chunk_values=self._chunk_values,
         )
-        process = ctx.Process(
+        # Daemonic, so a pool its owner forgot to close cannot hold the
+        # interpreter's exit hostage: multiprocessing terminates it.
+        process = self._ctx.Process(
             target=_pool_worker,
-            args=(spec, None, result_queue),
+            args=(spec, control, self._results),
             name=f"repro-pool-{wid}",
+            daemon=True,
         )
         process.start()
-        procs[wid] = process
-    spawn_seconds = time.perf_counter() - started
-    results, lost, leaked = _collect(procs, result_queue, timeout)
-    seconds = time.perf_counter() - started
-    result_queue.close()
-    delivered: dict[int, tuple[EstimatorSnapshot, int, int, float]] = {}
-    for wid, (frame, n, secs) in results.items():
-        try:
-            snapshot = persist.loads(frame)
-        except persist.CheckpointError:
-            lost[wid] = None  # corrupt frame: the shard is lost, not trusted
-            continue
-        delivered[wid] = (snapshot, n, len(frame), secs)
-    return delivered, lost, leaked, seconds, spawn_seconds
+        self._procs[wid] = process
+
+    def _ensure_workers(self, worker_ids: Iterable[int]) -> float:
+        """Respawn any dead worker about to get an item; seconds spent."""
+        started = time.perf_counter()
+        dead = [wid for wid in worker_ids if not self._procs[wid].is_alive()]
+        for wid in dead:
+            self._respawns += 1
+            self._spawn(wid)
+        return time.perf_counter() - started if dead else 0.0
+
+    def _kill(self, wid: int) -> None:
+        """Stop a worker mid-item; the next dispatch respawns it."""
+        process = self._procs[wid]
+        process.kill()
+        process.join(timeout=_JOIN_SECONDS)
+
+    def _put(self, wid: int, message: Any) -> None:
+        """Bounded put that drops instead of blocking on a dead worker."""
+        while self._procs[wid].is_alive():
+            try:
+                self._control[wid].put(message, timeout=_POLL_SECONDS)
+                return
+            except queue_mod.Full:
+                continue
+
+    def close(self) -> dict[int, str]:
+        """Shut the pool down: sentinels, then the escalating reap.
+
+        Returns the ``{worker_id: what_it_took}`` leak accounting of
+        :func:`reap_processes` (empty when every worker left on the
+        polite join).  Idempotent.
+        """
+        if self._closed:
+            return {}
+        self._closed = True
+        for control in self._control.values():
+            # A full queue means a wedged worker; the reap escalates.
+            with contextlib.suppress(queue_mod.Full):
+                control.put_nowait(None)
+        leaked = reap_processes(self._procs)
+        for channel in (*self._control.values(), self._results):
+            _close_queue(channel)
+        return leaked
+
+    def __enter__(self) -> "PersistentPool":
+        return self
+
+    def __exit__(
+        self,
+        exc_type: type[BaseException] | None,
+        exc: BaseException | None,
+        tb: TracebackType | None,
+    ) -> None:
+        self.close()
+
+    # -- dispatch / collect --------------------------------------------
+    def _round(
+        self,
+        seed: int,
+        items: dict[int, tuple[Any, ...]],
+        timeout: float | None,
+        feed: Callable[[], int] | None = None,
+    ) -> _Round:
+        """Deal one item per worker, feed a stream, collect, load."""
+        if self._closed:
+            raise RuntimeError("pool is closed")
+        spawn_seconds = self._ensure_workers(items)
+        started = time.perf_counter()
+        expected: dict[int, int] = {}
+        for wid, item in items.items():
+            self._seq += 1
+            expected[wid] = self._seq
+            self._put(wid, (self._seq, seed_for_worker(seed, wid), *item))
+        expected_n = 0
+        if feed is not None:
+            try:
+                expected_n = feed()
+            except BaseException:
+                # The *input* failed mid-dispatch (bad token, broken
+                # generator): the workers are mid-item, so stop them.
+                for wid in items:
+                    self._kill(wid)
+                raise
+        snapshots, reports = self._collect(expected, timeout)
+        seconds = time.perf_counter() - started
+        return _Round(seed, snapshots, reports, seconds, spawn_seconds, expected_n)
+
+    def _collect(
+        self, expected: dict[int, int], timeout: float | None
+    ) -> tuple[dict[int, EstimatorSnapshot], dict[int, WorkerReport]]:
+        """Wait for each expected (worker, seq) to ship, fail, or die.
+
+        Returns the verified snapshots and one report per worker.  Never
+        hangs on a corpse: a dead worker is reported lost with its exit
+        code, stragglers past ``timeout`` are killed and reported lost
+        without one, and a frame that fails verification is a lost shard,
+        not a poisoned merge.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        snapshots: dict[int, EstimatorSnapshot] = {}
+        reports: dict[int, WorkerReport] = {}
+        pending = set(expected)
+        while pending:
+            try:
+                wid, seq, frame, n, seconds, error = self._results.get(
+                    timeout=_POLL_SECONDS
+                )
+            except queue_mod.Empty:
+                for wid in sorted(pending):
+                    process = self._procs[wid]
+                    if not process.is_alive():
+                        reports[wid] = WorkerReport(
+                            wid, lost=True, exitcode=process.exitcode
+                        )
+                        pending.discard(wid)
+                if deadline is not None and time.monotonic() > deadline:
+                    for wid in sorted(pending):
+                        self._kill(wid)
+                        reports[wid] = WorkerReport(wid, lost=True)
+                    pending.clear()
+                continue
+            if expected.get(wid) != seq:
+                continue  # a stale ship from a timed-out earlier round
+            pending.discard(wid)
+            if error is None:
+                try:
+                    snapshots[wid] = persist.loads(frame)
+                except persist.CheckpointError as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+            reports[wid] = WorkerReport(
+                wid,
+                n=n,
+                shipped_bytes=len(frame),
+                ingest_seconds=seconds,
+                lost=error is not None,
+                error=error,
+            )
+        return snapshots, reports
+
+    def _file_round(
+        self,
+        path: str | os.PathLike[str],
+        seed: int | None,
+        timeout: float | None,
+        fail_after: dict[int, int] | None,
+        worker_ids: Iterable[int] | None = None,
+    ) -> _Round:
+        expected_n = count_floats(path)
+        ranges = plan_byte_ranges(path, self._num_workers)
+        items = {
+            wid: ((fail_after or {}).get(wid), os.fspath(path), *ranges[wid])
+            for wid in (range(self._num_workers) if worker_ids is None else worker_ids)
+        }
+        round_ = self._round(self._seed if seed is None else seed, items, timeout)
+        round_.expected_n = expected_n
+        return round_
+
+    def _stream_round(
+        self,
+        values: Iterable[float],
+        timeout: float | None,
+        fail_after: dict[int, int] | None,
+        chunk_values: int,
+    ) -> _Round:
+        if chunk_values < 1:
+            raise ValueError(f"chunk_values must be >= 1, got {chunk_values}")
+        workers = range(self._num_workers)
+
+        def feed() -> int:
+            dispatched = 0
+            for index, chunk in enumerate(_iter_chunks(values, chunk_values)):
+                dispatched += len(chunk)
+                self._put(index % self._num_workers, chunk)
+            for wid in workers:
+                self._put(wid, None)  # end of this item's stream
+            return dispatched
+
+        items = {wid: ((fail_after or {}).get(wid), None, 0, 0) for wid in workers}
+        return self._round(self._seed, items, timeout, feed)
+
+    def _merge(
+        self, round_: _Round, strict: bool, leaked: dict[int, str] | None = None
+    ) -> PoolResult:
+        """Coordinator merge + result assembly for every pool run."""
+        leaked = dict(leaked or {})
+        workers = range(self._num_workers)
+        snapshots = [round_.snapshots.get(wid) for wid in workers]
+        reports = [round_.reports[wid] for wid in workers]
+        lost = {report.worker_id: report.exitcode for report in reports if report.lost}
+        errors = {report.worker_id: report.error for report in reports if report.error}
+        if lost and strict:
+            raise PoolWorkerError(lost, leaked, errors)
+        if lost and not any(snap is not None and snap.n > 0 for snap in snapshots):
+            # Degraded mode can survive lost shards, but not losing them
+            # all: with no surviving data there is no partial answer.
+            raise PoolWorkerError(lost, leaked, errors)
+        if strict and any(_SURVIVED_SIGKILL in what for what in leaked.values()):
+            # Every result arrived, but a worker outlived SIGKILL: that is
+            # a real process leak, and strict callers asked to hear of it.
+            raise PoolWorkerError({}, leaked)
+        merge_started = time.perf_counter()
+        summary = merge_snapshots(
+            snapshots,
+            policy=self._policy,
+            seed=_derive_seed(round_.seed, "merge"),
+            strict=False,
+            expected_n=round_.expected_n,
+            backend=self._backend_name,
+        )
+        merge_seconds = time.perf_counter() - merge_started
+        assert summary.report is not None
+        for shipment in summary.report.shipments:
+            report = reports[shipment.shard_id]
+            report.full_buffers = shipment.full_buffers
+            report.partial_buffers = shipment.partial_buffers
+            report.full_elements = shipment.full_elements
+            report.partial_elements = shipment.partial_elements
+        return PoolResult(
+            summary=summary,
+            report=summary.report,
+            workers=reports,
+            n=summary.n,
+            expected_n=round_.expected_n,
+            start_method=self._method,
+            ingest_seconds=round_.seconds,
+            merge_seconds=merge_seconds,
+            spawn_seconds=round_.spawn_seconds,
+            leaked=leaked,
+        )
+
+    # -- public runs ---------------------------------------------------
+    def run_file_shards(
+        self,
+        path: str | os.PathLike[str],
+        worker_ids: Iterable[int],
+        *,
+        seed: int | None = None,
+        timeout: float | None = None,
+        fail_after: dict[int, int] | None = None,
+    ) -> tuple[dict[int, EstimatorSnapshot], dict[int, WorkerReport]]:
+        """One dispatch round over a subset of the file's shards; no merge.
+
+        The building block :class:`repro.cluster.ShardSupervisor` retries:
+        worker ``w`` scans slice ``w`` of :func:`plan_byte_ranges` under
+        ``seed_for_worker(seed, w)``, so a retried shard's snapshot is
+        bit-identical to one that never failed.  Returns the verified
+        snapshots of the shards that shipped and a report per shard.
+        """
+        round_ = self._file_round(path, seed, timeout, fail_after, worker_ids)
+        return round_.snapshots, round_.reports
+
+    def run_file(
+        self,
+        path: str | os.PathLike[str],
+        *,
+        seed: int | None = None,
+        strict: bool = True,
+        timeout: float | None = None,
+        fail_after: dict[int, int] | None = None,
+    ) -> PoolResult:
+        """Parallel one-pass ingest of a float64 file; reusable.
+
+        Worker ``w`` scans the ``w``-th aligned byte range of the file
+        with sequential I/O.  Parameters as for :func:`run_pool_on_file`;
+        ``seed`` overrides the pool's master seed for this run.
+        """
+        return self._merge(
+            self._file_round(path, seed, timeout, fail_after), strict
+        )
+
+
+def _one_shot(
+    run: Callable[[PersistentPool], _Round],
+    num_workers: int,
+    strict: bool,
+    **options: Any,
+) -> PoolResult:
+    """Build a pool, run one round on it, close it, then merge."""
+    pool = PersistentPool(num_workers, **options)
+    try:
+        round_ = run(pool)
+    finally:
+        leaked = pool.close()
+    # This run started its own processes: it pays the spawn, and its
+    # ingest runs from the spawn to the reaped last result.
+    round_.spawn_seconds = pool.spawn_seconds
+    round_.seconds = time.perf_counter() - pool._spawn_started
+    return pool._merge(round_, strict, leaked)
 
 
 def run_pool_on_file(
@@ -624,7 +875,6 @@ def run_pool_on_file(
     chunk_values: int = CHUNK_VALUES,
     timeout: float | None = None,
     fail_after: dict[int, int] | None = None,
-    transport: str = "bytes",
 ) -> PoolResult:
     """Parallel one-pass ingest of a float64 file across real processes.
 
@@ -632,111 +882,32 @@ def run_pool_on_file(
     into ``num_workers`` aligned byte ranges; each worker process scans
     its own slice with sequential I/O, summarises it, and ships one
     framed snapshot back.  With a fixed ``seed`` the answer is
-    bit-identical across runs and start methods.
+    bit-identical across runs, start methods, and to a reused
+    :class:`PersistentPool` under the same seed.
 
-    :param strict: when True (default) a dead worker raises
+    :param strict: when True (default) a lost worker raises
         :class:`PoolWorkerError`; when False the merge degrades and the
         result's :attr:`PoolResult.report` quantifies the lost weight.
     :param timeout: overall deadline in seconds for the ingest phase;
-        stragglers past it are terminated and counted lost.  ``None``
+        stragglers past it are killed and counted lost.  ``None``
         (default) waits indefinitely for *live* workers but still reaps
         dead ones, so a killed worker can never hang the pool.
     :param fail_after: ``{worker_id: n}`` fault injection — that worker
         hard-exits after ingesting ``n`` elements (tests, benchmarks).
-    :param transport: ``"bytes"`` (default) ships CRC-framed snapshot
-        blobs over the result queue; ``"shm"`` runs the same shards on a
-        one-shot :class:`~repro.runtime.persistent.PersistentPool`, so
-        workers ingest into a shared-memory segment and ship offset
-        descriptors instead.  Same seed => bit-identical answers either
-        way; only the data plane differs.
     """
-    if transport not in ("bytes", "shm"):
-        raise ValueError(f"unknown transport {transport!r}")
-    plan, policy_name, backend_name, master_seed, method = _resolve(
-        num_workers, eps, delta, plan, policy, backend, seed, start_method
-    )
-    if transport == "shm":
-        # Late import: persistent builds on this module.
-        from repro.runtime.persistent import PersistentPool
-
-        shm_pool = PersistentPool(
-            num_workers,
-            plan=plan,
-            policy=policy,
-            seed=master_seed,
-            backend=backend_name,
-            start_method=method,
-            chunk_values=chunk_values,
-        )
-        try:
-            result = shm_pool.run_file(
-                path, strict=strict, timeout=timeout, fail_after=fail_after
-            )
-            # One-shot use: this run *does* pay the spawn, so surface it.
-            result.spawn_seconds = shm_pool.spawn_seconds
-        finally:
-            leaked = shm_pool.close()
-        if leaked:
-            result.leaked.update(leaked)
-            if strict and any(
-                _SURVIVED_SIGKILL in what for what in leaked.values()
-            ):
-                raise PoolWorkerError({}, result.leaked)
-        return result
-    expected_n = count_floats(path)
-    ranges = plan_byte_ranges(path, num_workers)
-    delivered, lost, leaked, ingest_seconds, spawn_seconds = run_file_shards(
-        path,
-        ranges,
-        range(num_workers),
+    return _one_shot(
+        lambda pool: pool._file_round(path, None, timeout, fail_after),
+        num_workers,
+        strict,
+        eps=eps,
+        delta=delta,
         plan=plan,
-        policy_name=policy_name,
-        backend_name=backend_name,
-        master_seed=master_seed,
-        start_method=method,
-        chunk_values=chunk_values,
-        timeout=timeout,
-        fail_after=fail_after,
-    )
-    snapshots: list[EstimatorSnapshot | None] = [None] * num_workers
-    reports = [WorkerReport(worker_id=wid) for wid in range(num_workers)]
-    for wid, (snapshot, n, shipped_bytes, seconds) in delivered.items():
-        snapshots[wid] = snapshot
-        reports[wid].n = n
-        reports[wid].shipped_bytes = shipped_bytes
-        reports[wid].ingest_seconds = seconds
-    for wid, exitcode in lost.items():
-        reports[wid].lost = True
-        reports[wid].exitcode = exitcode
-    result = _merge_pool(
-        snapshots,
-        reports,
-        lost,
         policy=policy,
-        master_seed=master_seed,
-        backend_name=backend_name,
-        strict=strict,
-        expected_n=expected_n,
-        start_method=method,
-        ingest_seconds=ingest_seconds,
-        leaked=leaked,
+        seed=seed,
+        backend=backend,
+        start_method=start_method,
+        chunk_values=chunk_values,
     )
-    result.spawn_seconds = spawn_seconds
-    return result
-
-
-def _iter_chunks(
-    values: Iterable[float], chunk_values: int
-) -> Iterator[list[float]]:
-    """Slice any iterable into picklable list chunks of ``chunk_values``."""
-    chunk: list[float] = []
-    for value in values:
-        chunk.append(value)
-        if len(chunk) == chunk_values:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
 
 
 def run_pool_on_stream(
@@ -768,85 +939,15 @@ def run_pool_on_stream(
     ``weight_coverage`` stays honest).  See :func:`run_pool_on_file` for
     the shared parameters.
     """
-    if chunk_values < 1:
-        raise ValueError(f"chunk_values must be >= 1, got {chunk_values}")
-    plan, policy_name, backend_name, master_seed, method = _resolve(
-        num_workers, eps, delta, plan, policy, backend, seed, start_method
-    )
-    ctx = mp.get_context(method)
-    result_queue = ctx.Queue()
-    chunk_queues = [ctx.Queue(maxsize=_QUEUE_DEPTH) for _ in range(num_workers)]
-    procs: dict[int, mp.process.BaseProcess] = {}
-    started = time.perf_counter()
-    for wid in range(num_workers):
-        spec = WorkerSpec(
-            worker_id=wid,
-            seed=seed_for_worker(master_seed, wid),
-            backend=backend_name,
-            plan=_plan_to_dict(plan),
-            policy_name=policy_name,
-            chunk_values=chunk_values,
-            fail_after=(fail_after or {}).get(wid),
-        )
-        process = ctx.Process(
-            target=_pool_worker,
-            args=(spec, chunk_queues[wid], result_queue),
-            name=f"repro-pool-{wid}",
-        )
-        process.start()
-        procs[wid] = process
-    spawn_seconds = time.perf_counter() - started
-
-    def feed(wid: int, item: Any) -> None:
-        """Bounded put that drops instead of blocking on a dead worker."""
-        while True:
-            if not procs[wid].is_alive():
-                return
-            try:
-                chunk_queues[wid].put(item, timeout=_POLL_SECONDS)
-                return
-            except queue_mod.Full:
-                continue
-
-    dispatched = 0
-    try:
-        for index, chunk in enumerate(_iter_chunks(values, chunk_values)):
-            dispatched += len(chunk)
-            feed(index % num_workers, chunk)
-        for wid in range(num_workers):
-            feed(wid, None)  # end-of-stream sentinel
-    except BaseException:
-        # The *input* failed mid-dispatch (bad token, broken generator):
-        # don't leak workers blocked on their queues.
-        for process in procs.values():
-            process.terminate()
-        for process in procs.values():
-            process.join(timeout=5)
-        for chunk_queue in chunk_queues:
-            chunk_queue.close()
-            chunk_queue.cancel_join_thread()
-        result_queue.close()
-        result_queue.cancel_join_thread()
-        raise
-    results, lost, leaked = _collect(procs, result_queue, timeout)
-    ingest_seconds = time.perf_counter() - started
-    result_queue.close()
-    for chunk_queue in chunk_queues:
-        chunk_queue.close()
-        chunk_queue.cancel_join_thread()
-    snapshots, reports = _load_snapshots(results, lost, num_workers)
-    result = _merge_pool(
-        snapshots,
-        reports,
-        lost,
+    return _one_shot(
+        lambda pool: pool._stream_round(values, timeout, fail_after, chunk_values),
+        num_workers,
+        strict,
+        eps=eps,
+        delta=delta,
+        plan=plan,
         policy=policy,
-        master_seed=master_seed,
-        backend_name=backend_name,
-        strict=strict,
-        expected_n=dispatched,
-        start_method=method,
-        ingest_seconds=ingest_seconds,
-        leaked=leaked,
+        seed=seed,
+        backend=backend,
+        start_method=start_method,
     )
-    result.spawn_seconds = spawn_seconds
-    return result

@@ -193,98 +193,6 @@ class TestSpawnSafetyPass:
         )
         assert "RPL204" in codes_for(bad, config)
 
-    def test_unreleased_segment_flagged(self, tmp_path, config):
-        bad = write_module(
-            tmp_path,
-            "repro.runtime.bad",
-            "__all__ = []\nfrom repro.runtime.shm import ArenaSegment\n\n\n"
-            "def go(name):\n"
-            "    seg = ArenaSegment.attach(name, 8)\n"
-            "    return seg.region(0, 8)\n",
-        )
-        assert "RPL205" in codes_for(bad, config)
-
-    def test_with_item_segment_clean(self, tmp_path, config):
-        good = write_module(
-            tmp_path,
-            "repro.runtime.good",
-            "__all__ = []\nfrom repro.runtime.shm import ArenaSegment\n\n\n"
-            "def go():\n"
-            "    with ArenaSegment.create(8) as seg:\n"
-            "        return bytes(seg.region(0, 8))\n",
-        )
-        assert codes_for(good, config) == []
-
-    def test_try_finally_segment_clean(self, tmp_path, config):
-        good = write_module(
-            tmp_path,
-            "repro.runtime.good",
-            "__all__ = []\nfrom repro.runtime.shm import ArenaSegment\n\n\n"
-            "def go(name):\n"
-            "    seg = ArenaSegment.attach(name, 8)\n"
-            "    try:\n"
-            "        return bytes(seg.region(0, 8))\n"
-            "    finally:\n"
-            "        seg.close()\n",
-        )
-        assert codes_for(good, config) == []
-
-    def test_self_stored_segment_with_teardown_clean(self, tmp_path, config):
-        good = write_module(
-            tmp_path,
-            "repro.runtime.good",
-            "__all__ = []\nfrom repro.runtime.shm import ArenaSegment\n\n\n"
-            "class Pool:\n"
-            "    def __init__(self):\n"
-            "        self._segment = ArenaSegment.create(8)\n\n"
-            "    def close(self):\n"
-            "        self._segment.destroy()\n",
-        )
-        assert codes_for(good, config) == []
-
-    def test_self_stored_segment_without_teardown_flagged(self, tmp_path, config):
-        bad = write_module(
-            tmp_path,
-            "repro.runtime.bad",
-            "__all__ = []\nfrom repro.runtime.shm import ArenaSegment\n\n\n"
-            "class Pool:\n"
-            "    def __init__(self):\n"
-            "        self._segment = ArenaSegment.create(8)\n",
-        )
-        assert "RPL205" in codes_for(bad, config)
-
-    def test_raw_shared_memory_flagged_everywhere(self, tmp_path, config):
-        # Like RPL202, the shm rules are not scoped to the packages
-        # option: a stray SharedMemory in a test or script is a leak
-        # vector too.
-        script = tmp_path / "script.py"
-        script.write_text(
-            "from multiprocessing import shared_memory\n\n\n"
-            "def go():\n"
-            "    return shared_memory.SharedMemory(name='x', create=True)\n"
-        )
-        assert "RPL206" in codes_for(script, config)
-
-    def test_prefix_literal_flagged(self, tmp_path, config):
-        bad = write_module(
-            tmp_path,
-            "repro.cluster.bad",
-            '__all__ = []\n\nNAME = "repro-arena-42"\n',  # replint: disable=spawn-safety -- the fixture IS the violation
-        )
-        assert "RPL206" in codes_for(bad, config)
-
-    def test_shm_module_itself_exempt(self, tmp_path, config):
-        good = write_module(
-            tmp_path,
-            "repro.runtime.shm",
-            # replint: disable=spawn-safety -- fixture for the exempt module
-            "__all__ = []\nfrom multiprocessing import shared_memory\n\n"
-            'PREFIX = "repro-arena-"\n\n\n'
-            "def create(name, size):\n"
-            "    return shared_memory.SharedMemory(name=name, create=True, size=size)\n",
-        )
-        assert codes_for(good, config) == []
-
 
 # ----------------------------------------------------------------------
 # float-discipline

@@ -45,8 +45,6 @@ from repro.audit import CheckpointResult
 from repro.core.tree import TraceNode
 from repro.db import WindowReport
 from repro.kernels.python_backend import PythonBackend
-from repro.runtime import SEGMENT_PREFIX
-from repro.runtime.persistent import ShardWorkSpec
 from repro.runtime.pool import WorkerSpec
 from repro.service import ERROR_CODES, OPS, IngestApplyError, ShuttingDown
 from repro.service.metrics import Counter, Gauge, Histogram
@@ -153,14 +151,8 @@ class TestKernelBackendSurface:
 
 
 class TestRuntimeSurface:
-    def test_segment_prefix_names_arena_segments(self) -> None:
-        # The literal is the point: this test is the tripwire that makes
-        # renaming the /dev/shm prefix a visible, deliberate API break.
-        assert SEGMENT_PREFIX == "repro-arena-"  # replint: disable=spawn-safety -- pinning the public constant's value requires spelling it
-
     def test_work_specs_are_plain_data(self) -> None:
         assert dataclasses.is_dataclass(WorkerSpec)
-        assert dataclasses.is_dataclass(ShardWorkSpec)
 
     def test_shard_shipment_is_plain_data(self) -> None:
         assert dataclasses.is_dataclass(ShardShipment)

@@ -488,3 +488,18 @@ class TestPoolSupervision:
         result = sup.run_pool(path, timeout=120)
         assert result.report.complete
         assert list(ckpt.iterdir()) == []
+
+    def test_worker_error_named_when_shard_lost(self, pool_file, tmp_path):
+        # A NaN in shard 1's slice fails that item on every attempt; the
+        # worker stays up, and the strict surrender names the error.
+        _path, data = pool_file
+        poisoned = list(data)
+        poisoned[12_000] = float("nan")
+        path = tmp_path / "nan.f64"
+        write_floats(path, poisoned)
+        sup = ShardSupervisor(
+            num_shards=3, plan=TINY_PLAN, seed=26, max_ship_attempts=2
+        )
+        with pytest.raises(ShardLostError, match=r"shard 1: ValueError: NaN"):
+            sup.run_pool(str(path), timeout=120)
+        assert sup.stats.restarts == 1

@@ -331,12 +331,6 @@ class TestMatrixEquivalence:
         other.write_slot(storage, 5, [9.0, -1.0], sort=False)
         assert list(other.slot_view(storage, 5, 2)) == [9.0, -1.0]
 
-    def test_wrap_values_writes_through(self, other):
-        raw = bytearray(5 * 8)
-        storage = other.wrap_values(raw, 5)
-        other.write_slot(storage, 1, [2.0, 1.0], sort=True)
-        assert list(memoryview(raw).cast("d"))[1:3] == [1.0, 2.0]
-
 
 # ----------------------------------------------------------------------
 # The merge network: bit identity over wide and tie-heavy run sets

@@ -1,12 +1,17 @@
 """Tests for the multi-process parallel ingest runtime (repro.runtime).
 
-The pool engine's three load-bearing promises are each pinned here:
+The pool engine's load-bearing promises are each pinned here:
 
 * **Determinism** — a fixed-seed pool is bit-identical across repeated
-  runs and across multiprocessing start methods (fork vs spawn).
+  runs, across multiprocessing start methods (fork vs spawn), between a
+  reused :class:`PersistentPool` and a one-shot run, and between the
+  native and python kernels.
 * **Crash != hang** — a worker killed mid-ingest degrades the merge
   (``strict=False``) with honest ``weight_coverage``, or raises
-  :class:`PoolWorkerError` (``strict=True``); it never hangs the pool.
+  :class:`PoolWorkerError` (``strict=True``); it never hangs the pool,
+  and an item that raises inside a worker names its error to the caller.
+* **No leaks** — no worker process survives ``close()``, a worker crash,
+  an ingest timeout, or a SIGKILLed coordinator.
 * **The Section 6 bound is measured on the wire** — every worker ships
   at most one full and at most one partial buffer, visible on
   ``MergeReport.shipments`` and the per-worker reports.
@@ -14,16 +19,20 @@ The pool engine's three load-bearing promises are each pinned here:
 
 from __future__ import annotations
 
+import math
 import multiprocessing
+import os
 import random
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro.core.params import Plan
-from repro.core.unknown_n import UnknownNQuantiles
 from repro.runtime import (
+    PersistentPool,
     PoolWorkerError,
     available_start_methods,
     run_pool_on_file,
@@ -69,6 +78,16 @@ def pool_values() -> list[float]:
 def pool_file(pool_values, tmp_path_factory) -> str:
     path = tmp_path_factory.mktemp("pool") / "values.f64"
     write_floats(path, pool_values)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def nan_file(pool_values, tmp_path_factory) -> str:
+    """The pool values with one NaN inside worker 1's half of the file."""
+    values = list(pool_values)
+    values[20_000] = math.nan
+    path = tmp_path_factory.mktemp("pool") / "nan.f64"
+    write_floats(path, values)
     return str(path)
 
 
@@ -294,6 +313,27 @@ class TestFaults:
         assert result.n < len(pool_values)
         assert 0.0 < result.report.weight_coverage < 1.0
 
+    def test_worker_error_reaches_strict_caller(self, nan_file):
+        with pytest.raises(PoolWorkerError) as excinfo:
+            run_pool_on_file(nan_file, 2, plan=POOL_PLAN, seed=59, timeout=DEADLINE)
+        # The worker raised and stayed up: lost, with no exit code, and
+        # the reason is in the error and its message.
+        assert excinfo.value.lost == {1: None}
+        assert excinfo.value.errors[1].startswith("ValueError: NaN")
+        assert "worker 1 (ValueError: NaN values have no rank" in str(excinfo.value)
+
+    def test_worker_error_rides_on_degraded_report(self, nan_file, pool_values):
+        result = run_pool_on_file(
+            nan_file, 2, plan=POOL_PLAN, seed=59, strict=False, timeout=DEADLINE
+        )
+        assert result.report.shards_lost == (1,)
+        assert result.n == result.workers[0].n == 15_000
+        assert 0.0 < result.report.weight_coverage < 1.0
+        lost = result.workers[1]
+        assert lost.lost and lost.exitcode is None
+        assert lost.error.startswith("ValueError: NaN")
+        assert result.workers[0].error is None
+
     def test_all_workers_lost_raises_even_degraded(self, pool_file):
         # Degraded mode needs at least one survivor to build a partial
         # answer from; losing every shard is an error, not a hang.
@@ -310,16 +350,14 @@ class TestFaults:
         assert excinfo.value.lost == {0: FAULT_EXIT_CODE, 1: FAULT_EXIT_CODE}
 
 
-def _sleepy_worker(result_queue) -> None:
-    """Ships its result, then naps: reapable by SIGTERM."""
-    result_queue.put((0, b"frame", 7, 0.01))
+def _sleepy_worker() -> None:
+    """Naps through the polite join: reapable by SIGTERM."""
     time.sleep(600)
 
 
-def _stubborn_worker(result_queue) -> None:
-    """Ships its result, ignores SIGTERM, then naps: needs SIGKILL."""
+def _stubborn_worker() -> None:
+    """Ignores SIGTERM, then naps: needs SIGKILL."""
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    result_queue.put((0, b"frame", 7, 0.01))
     time.sleep(600)
 
 
@@ -327,31 +365,27 @@ def _stubborn_worker(result_queue) -> None:
     "fork" not in available_start_methods(), reason="needs fork start method"
 )
 class TestShutdownEscalation:
-    """The collector never leaves a zombie: join -> SIGTERM -> SIGKILL."""
+    """Reaping never leaves a zombie: join -> SIGTERM -> SIGKILL."""
 
-    def _collect_one(self, target, monkeypatch):
+    def _reap_one(self, target, monkeypatch):
         monkeypatch.setattr(pool_mod, "_JOIN_SECONDS", 0.3)
-        ctx = multiprocessing.get_context("fork")
-        result_queue = ctx.Queue()
-        proc = ctx.Process(target=target, args=(result_queue,))
+        proc = multiprocessing.get_context("fork").Process(target=target)
         proc.start()
         try:
-            return pool_mod._collect({0: proc}, result_queue, timeout=DEADLINE)
+            leaked = pool_mod.reap_processes({0: proc})
+            assert not proc.is_alive()
+            return leaked
         finally:
             if proc.is_alive():  # pragma: no cover - escalation failed
                 proc.kill()
             proc.join(timeout=5)
 
     def test_worker_outliving_join_is_terminated(self, monkeypatch):
-        results, lost, leaked = self._collect_one(_sleepy_worker, monkeypatch)
-        assert results[0] == (b"frame", 7, 0.01)  # the ship still counts
-        assert lost == {}
+        leaked = self._reap_one(_sleepy_worker, monkeypatch)
         assert leaked == {0: "outlived join(0.3s); reaped by SIGTERM"}
 
     def test_sigterm_ignoring_worker_is_killed(self, monkeypatch):
-        results, lost, leaked = self._collect_one(_stubborn_worker, monkeypatch)
-        assert results[0] == (b"frame", 7, 0.01)
-        assert lost == {}
+        leaked = self._reap_one(_stubborn_worker, monkeypatch)
         assert leaked == {0: "ignored SIGTERM; reaped by SIGKILL"}
 
     def test_pool_worker_error_reports_escalation(self):
@@ -371,43 +405,40 @@ class TestShutdownEscalation:
 class TestLeakSurfacing:
     """A leaked worker is reported even when every result arrived."""
 
-    def _merge(self, leaked, *, strict):
-        est = UnknownNQuantiles(plan=POOL_PLAN, seed=1)
-        est.extend([float(i) for i in range(2_000)])
-        return pool_mod._merge_pool(
-            [est.snapshot()],
-            [pool_mod.WorkerReport(worker_id=0, n=2_000)],
-            {},
-            policy=None,
-            master_seed=3,
-            backend_name="python",
-            strict=strict,
-            expected_n=2_000,
-            start_method="fork",
-            ingest_seconds=0.1,
-            leaked=leaked,
+    def _run(self, pool_file, monkeypatch, leaked, *, strict):
+        reap = pool_mod.reap_processes
+
+        def reap_reporting(procs):
+            reap(procs)
+            return dict(leaked)
+
+        monkeypatch.setattr(pool_mod, "reap_processes", reap_reporting)
+        return run_pool_on_file(
+            pool_file, 1, plan=POOL_PLAN, seed=3, strict=strict, timeout=DEADLINE
         )
 
-    def test_clean_run_has_empty_leaked(self):
-        assert self._merge(None, strict=True).leaked == {}
+    def test_clean_run_has_empty_leaked(self, pool_file, monkeypatch):
+        assert self._run(pool_file, monkeypatch, {}, strict=True).leaked == {}
 
-    def test_reaped_escalation_rides_on_successful_result(self):
+    def test_reaped_escalation_rides_on_successful_result(
+        self, pool_file, monkeypatch
+    ):
         leaked = {0: "ignored SIGTERM; reaped by SIGKILL"}
-        result = self._merge(leaked, strict=True)
+        result = self._run(pool_file, monkeypatch, leaked, strict=True)
         assert result.leaked == leaked
-        assert result.n == 2_000  # the merge itself still succeeded
+        assert result.n == 30_000  # the merge itself still succeeded
 
-    def test_sigkill_survivor_raises_in_strict_mode(self):
+    def test_sigkill_survivor_raises_in_strict_mode(self, pool_file, monkeypatch):
         leaked = {0: "pid 123 survived SIGKILL; process leaked"}
         with pytest.raises(PoolWorkerError) as excinfo:
-            self._merge(leaked, strict=True)
+            self._run(pool_file, monkeypatch, leaked, strict=True)
         assert excinfo.value.lost == {}
         assert excinfo.value.leaked == leaked
         assert "escalate past SIGTERM" in str(excinfo.value)
 
-    def test_sigkill_survivor_tolerated_when_degraded(self):
+    def test_sigkill_survivor_tolerated_when_degraded(self, pool_file, monkeypatch):
         leaked = {0: "pid 123 survived SIGKILL; process leaked"}
-        result = self._merge(leaked, strict=False)
+        result = self._run(pool_file, monkeypatch, leaked, strict=False)
         assert result.leaked == leaked
 
 
@@ -433,3 +464,341 @@ class TestArgumentValidation:
             path, 2, eps=0.1, delta=0.01, seed=53, timeout=DEADLINE
         )
         assert result.n == 2_000
+
+
+def _new_children(before: set) -> set:
+    return set(multiprocessing.active_children()) - before
+
+
+class TestPersistentPool:
+    def test_batches_match_fresh_pools(self, pool_file):
+        """A reused pool equals fresh pools, batch over batch."""
+        with PersistentPool(2, plan=POOL_PLAN, seed=77) as pool:
+            reused = [
+                pool.run_file(pool_file, timeout=DEADLINE).query_many(PHIS)
+                for _ in range(3)
+            ]
+        fresh = []
+        for _ in range(3):
+            with PersistentPool(2, plan=POOL_PLAN, seed=77) as pool:
+                fresh.append(
+                    pool.run_file(pool_file, timeout=DEADLINE).query_many(PHIS)
+                )
+        assert reused == fresh
+        assert reused[0] == reused[1] == reused[2]
+
+    def test_reused_pool_matches_one_shot(self, pool_file):
+        one_shot = run_pool_on_file(
+            pool_file, 3, plan=POOL_PLAN, seed=901, timeout=DEADLINE
+        )
+        with PersistentPool(3, plan=POOL_PLAN, seed=901) as pool:
+            first = pool.run_file(pool_file, timeout=DEADLINE)
+            second = pool.run_file(pool_file, timeout=DEADLINE)
+        for reused in (first, second):
+            assert (
+                reused.summary.to_state_dict() == one_shot.summary.to_state_dict()
+            )
+            assert reused.n == one_shot.n == 30_000
+            assert reused.shipped_bytes == one_shot.shipped_bytes
+
+    def test_communication_bound(self, pool_file):
+        with PersistentPool(4, plan=POOL_PLAN, seed=5) as pool:
+            result = pool.run_file(pool_file, timeout=DEADLINE)
+        assert result.report.within_communication_bound
+        for shipment in result.report.shipments:
+            assert shipment.full_buffers <= 1
+            assert shipment.partial_buffers <= 1
+            assert shipment.within_bound
+        assert all(worker.shipped_bytes > 0 for worker in result.workers)
+
+    def test_spawn_paid_once(self, pool_file):
+        with PersistentPool(2, plan=POOL_PLAN, seed=8) as pool:
+            assert pool.spawn_seconds > 0
+            first = pool.run_file(pool_file, timeout=DEADLINE)
+            second = pool.run_file(pool_file, timeout=DEADLINE)
+        # No worker died, so neither run paid any (re)spawn cost.
+        assert first.spawn_seconds == 0.0
+        assert second.spawn_seconds == 0.0
+        assert pool.respawns == 0
+
+    def test_strict_crash_raises_and_pool_recovers(self, pool_file):
+        with PersistentPool(3, plan=POOL_PLAN, seed=13) as pool:
+            baseline = pool.run_file(pool_file, timeout=DEADLINE).query_many(PHIS)
+            with pytest.raises(PoolWorkerError):
+                pool.run_file(
+                    pool_file,
+                    timeout=DEADLINE,
+                    fail_after={1: 100},
+                    strict=True,
+                )
+            # The dead worker is respawned lazily; the next run is whole
+            # and bit-identical to the pre-crash baseline.
+            after = pool.run_file(pool_file, timeout=DEADLINE)
+            assert pool.respawns == 1
+            assert after.spawn_seconds > 0
+            assert after.query_many(PHIS) == baseline
+
+    def test_failing_item_keeps_worker_up(self, nan_file, pool_file):
+        with PersistentPool(2, plan=POOL_PLAN, seed=17) as pool:
+            failed = pool.run_file(nan_file, strict=False, timeout=DEADLINE)
+            assert failed.workers[1].error.startswith("ValueError: NaN")
+            whole = pool.run_file(pool_file, timeout=DEADLINE)
+            assert pool.respawns == 0
+        assert whole.report.complete
+
+    def test_degraded_merge_has_honest_coverage(self, pool_file):
+        with PersistentPool(3, plan=POOL_PLAN, seed=13) as pool:
+            result = pool.run_file(
+                pool_file,
+                timeout=DEADLINE,
+                fail_after={2: 100},
+                strict=False,
+            )
+            assert result.report.weight_coverage < 1.0
+            assert result.n < 30_000
+
+    def test_timeout_kills_stragglers_and_pool_recovers(self, tmp_path, pool_file):
+        big = tmp_path / "big.f64"
+        write_floats(big, (float(i) for i in range(400_000)))
+        before = set(multiprocessing.active_children())
+        # One value per read makes each 200,000-value slice take about a
+        # second, far past the deadline: both workers are mid-scan at it.
+        with PersistentPool(
+            2, plan=POOL_PLAN, seed=19, backend="python", chunk_values=1
+        ) as pool:
+            workers = _new_children(before)
+            with pytest.raises(PoolWorkerError) as excinfo:
+                pool.run_file(big, strict=False, timeout=0.05)
+            assert excinfo.value.lost == {0: None, 1: None}
+            assert not any(worker.is_alive() for worker in workers)
+            assert pool.run_file(pool_file, timeout=DEADLINE).report.complete
+            assert pool.respawns == 2
+
+    def test_closed_pool_refuses_runs(self, pool_file):
+        with PersistentPool(1, plan=POOL_PLAN, seed=3) as pool:
+            pass
+        with pytest.raises(RuntimeError, match="closed"):
+            pool.run_file(pool_file)
+
+    def test_no_workers_survive_run(self, pool_file):
+        before = set(multiprocessing.active_children())
+        run_pool_on_file(pool_file, 2, plan=POOL_PLAN, seed=3, timeout=DEADLINE)
+        assert _new_children(before) == set()
+
+    def test_close_is_idempotent_and_reaps_workers(self):
+        before = set(multiprocessing.active_children())
+        pool = PersistentPool(2, plan=POOL_PLAN, seed=4)
+        workers = _new_children(before)
+        assert len(workers) == 2
+        assert pool.close() == {}
+        assert pool.closed
+        assert not any(worker.is_alive() for worker in workers)
+        assert pool.close() == {}
+
+    def test_failed_construction_leaks_nothing(self, monkeypatch):
+        """An exception mid-constructor reaps the workers already started."""
+        calls = {"n": 0}
+        original = PersistentPool._spawn
+
+        def exploding_spawn(self, wid):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise RuntimeError("boom during spawn")
+            original(self, wid)
+
+        monkeypatch.setattr(PersistentPool, "_spawn", exploding_spawn)
+        before = set(multiprocessing.active_children())
+        with pytest.raises(RuntimeError, match="boom during spawn"):
+            PersistentPool(2, plan=POOL_PLAN, seed=6)
+        assert _new_children(before) == set()
+
+
+try:
+    from repro.kernels import _native  # noqa: F401
+
+    HAVE_NATIVE = True
+except ImportError:  # pragma: no cover - exercised on build-free hosts
+    HAVE_NATIVE = False
+
+
+def _kernel_free_state(result) -> dict:
+    """The merged summary's state minus the name of the kernels behind it."""
+    state = result.summary.to_state_dict()
+    state["coordinator"]["engine"].pop("backend")
+    return state
+
+
+@pytest.mark.skipif(not HAVE_NATIVE, reason="compiled extension not built")
+class TestNativeBackendPool:
+    """The compiled kernels share the python RNG kind and draw law, so
+    every pool path is bit-identical across the two backends."""
+
+    def test_native_bit_identical_to_python(self, pool_file):
+        python = run_pool_on_file(
+            pool_file, 3, plan=POOL_PLAN, seed=901, backend="python",
+            timeout=DEADLINE,
+        )
+        native = run_pool_on_file(
+            pool_file, 3, plan=POOL_PLAN, seed=901, backend="native",
+            timeout=DEADLINE,
+        )
+        assert _kernel_free_state(native) == _kernel_free_state(python)
+        assert native.n == python.n == 30_000
+        assert native.shipped_bytes == python.shipped_bytes
+
+    def test_native_stream_bit_identical_to_python(self, pool_values):
+        python, native = (
+            run_pool_on_stream(
+                iter(pool_values), 3, plan=POOL_PLAN, seed=907,
+                backend=backend, timeout=DEADLINE,
+            )
+            for backend in ("python", "native")
+        )
+        assert _kernel_free_state(native) == _kernel_free_state(python)
+
+    def test_persistent_pool_native_matches_python(self, pool_file):
+        with PersistentPool(2, plan=POOL_PLAN, seed=77, backend="native") as pool:
+            native = [
+                pool.run_file(pool_file, timeout=DEADLINE).query_many(PHIS)
+                for _ in range(2)
+            ]
+        with PersistentPool(2, plan=POOL_PLAN, seed=77, backend="python") as pool:
+            python = [
+                pool.run_file(pool_file, timeout=DEADLINE).query_many(PHIS)
+                for _ in range(2)
+            ]
+        assert native == python
+
+
+#: One scenario per lifecycle hazard; each runs in a fresh interpreter so
+#: its stderr and its children are exclusively its own.  Each prints the
+#: pids of its live pool workers.
+_SCENARIOS = {
+    "clean": """
+with PersistentPool(2, plan=PLAN, seed=1) as pool:
+    result = pool.run_file(PATH, timeout=60)
+    assert result.n == 30_000
+    print("PIDS", *worker_pids(), flush=True)
+""",
+    "worker_crash": """
+with PersistentPool(2, plan=PLAN, seed=1) as pool:
+    print("PIDS", *worker_pids(), flush=True)
+    try:
+        pool.run_file(PATH, timeout=60, fail_after={0: 50}, strict=True)
+    except PoolWorkerError:
+        pass
+    else:
+        raise AssertionError("crash did not raise")
+""",
+    "coordinator_sigkill": """
+import os, signal
+pool = PersistentPool(2, plan=PLAN, seed=1)
+pool.run_file(PATH, timeout=60)  # the workers are parked from here on
+print("PIDS", *worker_pids(), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+""",
+}
+
+_SCENARIO_PREAMBLE = """
+import multiprocessing, sys
+from repro.core.params import Plan
+from repro.runtime import PersistentPool, PoolWorkerError
+PLAN = Plan(
+    eps=0.05, delta=0.01, b=6, k=128, h=4, alpha=0.5,
+    leaves_before_sampling=40, leaves_per_level=12, policy_name="mrl",
+)
+PATH = sys.argv[1]
+
+def worker_pids():
+    return [child.pid for child in multiprocessing.active_children()]
+"""
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether ``pid`` runs (an unreaped zombie has already exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # pragma: no cover - no procfs on this platform
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+def _pids_gone(pids: list[int], timeout: float) -> bool:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if not any(_pid_alive(pid) for pid in pids):
+            return True
+        time.sleep(0.05)
+    return False
+
+
+class TestWorkerLeaks:
+    """Every exit path — polite, crashing, or SIGKILLed — ends the workers."""
+
+    @pytest.fixture()
+    def run_scenario(self, pool_file, tmp_path):
+        """Run one scenario; kill whatever worker it leaves behind."""
+        seen: list[int] = []
+
+        def run(name: str):
+            # Output goes to files, not pipes: workers inherit the
+            # scenario's descriptors, and an orphan holding a pipe open
+            # would stall the read instead of failing the assertion.
+            out, err = tmp_path / f"{name}.out", tmp_path / f"{name}.err"
+            with open(out, "w") as stdout, open(err, "w") as stderr:
+                proc = subprocess.run(
+                    [
+                        sys.executable,
+                        "-c",
+                        _SCENARIO_PREAMBLE + _SCENARIOS[name],
+                        pool_file,
+                    ],
+                    stdout=stdout,
+                    stderr=stderr,
+                    timeout=DEADLINE,
+                    env={**os.environ, "PYTHONPATH": "src"},
+                    cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                )
+            lines = out.read_text().splitlines()
+            pids = [int(pid) for line in lines if line.startswith("PIDS")
+                    for pid in line.split()[1:]]
+            assert pids, f"scenario printed no pids:\n{lines}\n{err.read_text()}"
+            seen.extend(pids)
+            return proc.returncode, err.read_text(), pids
+
+        yield run
+        for pid in seen:
+            if _pid_alive(pid):  # pragma: no cover - only after a failure
+                os.kill(pid, signal.SIGKILL)
+
+    def test_clean_shutdown_reaps_workers(self, run_scenario):
+        returncode, stderr, pids = run_scenario("clean")
+        assert returncode == 0, stderr
+        assert _pids_gone(pids, timeout=10.0)
+        # Teardown noise on stderr (a worker traceback, an exported
+        # buffer) is a failure, not log spam.
+        assert stderr.strip() == ""
+
+    def test_worker_crash_reaps_workers(self, run_scenario):
+        returncode, stderr, pids = run_scenario("worker_crash")
+        assert returncode == 0, stderr
+        assert _pids_gone(pids, timeout=10.0)
+        assert stderr.strip() == ""
+
+    def test_coordinator_sigkill_orphans_exit(self, run_scenario):
+        """SIGKILL skips every finally: parked workers notice the orphaning.
+
+        A parked worker polls its control queue every
+        ``_ORPHAN_POLL_SECONDS``; once its parent is gone it exits, so
+        every worker is gone within a few poll periods.
+        """
+        returncode, _stderr, pids = run_scenario("coordinator_sigkill")
+        assert returncode == -signal.SIGKILL
+        assert len(pids) == 2
+        assert _pids_gone(pids, timeout=5 * pool_mod._ORPHAN_POLL_SECONDS)
