@@ -40,9 +40,9 @@ N = 200_000
 def _warm_backends() -> None:
     """Trigger lazy backend imports before any tracemalloc window opens.
 
-    The first estimator construction imports the kernel backend (numpy
-    when present); measured inside the window that import machinery would
-    be charged to the estimator.
+    The first estimator construction imports the kernel backend module;
+    measured inside the window that import machinery would be charged to
+    the estimator.
     """
     warm = UnknownNQuantiles(eps=0.1, delta=0.01, seed=0)
     warm.update_batch([0.25, 0.5, 0.75])

@@ -194,14 +194,11 @@ def run_scale(
     seed: int = 7,
 ) -> dict:
     """Measure the worker grid over one n-element file; return the report."""
-    # Fastest available backend by default: the scaling question is about
-    # the process runtime, so the per-worker kernels should not be the
-    # bottleneck being measured.
+    # Fastest available backend by default (native, else python): the
+    # scaling question is about the process runtime, so the per-worker
+    # kernels should not be the bottleneck being measured.
     if backend is None:
-        names = available_backends()
-        backend = next(
-            (b for b in ("native", "numpy") if b in names), "python"
-        )
+        backend = "native" if "native" in available_backends() else "python"
     plan_started = time.perf_counter()
     plan = plan_parameters(EPS, DELTA)
     plan_ms = (time.perf_counter() - plan_started) * 1_000

@@ -10,8 +10,8 @@ baseline.
 This file is also a standalone script: ``python benchmarks/bench_throughput.py``
 runs the kernel-backend perf trajectory (1M-element batch ingest and
 cached-vs-uncached ``query_many`` on every available backend, plus a
-24M-element deep-stream ingest on the vectorised backends that pins the
-native-vs-numpy acceptance ratio) and writes the machine-readable
+24M-element deep-stream ingest on every available backend that pins the
+native-vs-python acceptance ratio) and writes the machine-readable
 ``BENCH_throughput.json`` at the repo root, so the speedups claimed in
 docs/PERFORMANCE.md stay pinned to measurements.  Use ``--smoke`` for
 the fast CI variant.
@@ -43,25 +43,26 @@ BACKENDS = available_backends()
 SEED_BATCH_INGEST_ELEMS_PER_S = 1_571_605
 SEED_QUERY_MANY_MS = 1.635
 
-#: Pre-arena (boxed list[float] buffer storage) batch-ingest rates, from
-#: the BENCH_throughput.json committed with the vectorised-kernels PR.
-#: The columnar arena must beat them by the required factors below.
-PRE_ARENA_BATCH_INGEST_ELEMS_PER_S = {
-    "python": 2_135_131.4,
-    "numpy": 9_218_577.3,
-}
-ARENA_SPEEDUP_REQUIRED = {"python": 1.3, "numpy": 1.5}
+#: Pre-arena (boxed list[float] buffer storage) python batch-ingest rate,
+#: from the BENCH_throughput.json committed with the vectorised-kernels
+#: PR.  The columnar arena must beat it by the required factor below.
+PRE_ARENA_PYTHON_BATCH_INGEST_ELEMS_PER_S = 2_135_131.4
+ARENA_SPEEDUP_REQUIRED = 1.3
 
 #: Large-stream ingest: the regime the paper targets (datasets far larger
 #: than memory).  24 one-million-element chunks at the same accuracy
 #: point as the 1M trajectory; by the later chunks the sampling rate has
 #: ramped, so block sampling resolves most elements and the per-block
 #: constant factors (RNG draw, slice, sort) dominate — which is exactly
-#: where the compiled kernels earn their keep.  The native-vs-numpy
+#: where the compiled kernels earn their keep.  The native-vs-python
 #: criterion is pinned here, same host, same run.
 STREAM_CHUNK_ELEMS = 1_000_000
 STREAM_CHUNKS = 24
-NATIVE_STREAM_SPEEDUP_REQUIRED = 3.0
+#: The bar the retired native >= 3x numpy gate translates to: 3.0 times
+#: the median numpy/python deep-stream ratio (1.837) of seven same-run
+#: measurements on a 2-vCPU x86-64 VM, rounded up
+#: (benchmarks/results/throughput_stream_ratios_three_backends.jsonl).
+NATIVE_STREAM_SPEEDUP_REQUIRED = 5.52
 #: One uncached query_many(99 phis) on the native backend must fit the
 #: sub-100µs budget (full re-merge + 99 C rank walks, no memoised view).
 NATIVE_QUERY_UNCACHED_US_BUDGET = 100.0
@@ -145,7 +146,7 @@ def test_throughput_reservoir(benchmark):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_throughput_unknown_n_batch_ingest(benchmark, backend):
     # The bulk path: one RNG draw per sampling block instead of per element,
-    # on every backend the host has (python always; numpy when installed).
+    # on every backend the host has (python always; native when built).
     def run():
         est = UnknownNQuantiles(eps=EPS, delta=DELTA, seed=7, backend=backend)
         est.update_batch(DATA)
@@ -281,7 +282,9 @@ def run_perf_trajectory(
             "query_many_ms": SEED_QUERY_MANY_MS,
         },
         "pre_arena_baseline": {
-            "batch_ingest_elems_per_s": dict(PRE_ARENA_BATCH_INGEST_ELEMS_PER_S),
+            "batch_ingest_elems_per_s": {
+                "python": PRE_ARENA_PYTHON_BATCH_INGEST_ELEMS_PER_S
+            },
         },
         "backends": {},
     }
@@ -297,39 +300,36 @@ def run_perf_trajectory(
                 _measure_query_many(backend, n // 20, repeats, cached=False), 4
             ),
         }
-    # Deep-stream ingest for the vectorised backends (the native-vs-numpy
-    # acceptance regime; the python reference would add minutes for a
-    # number the 1M trajectory already tracks).
-    stream: dict = {}
-    for backend in ("numpy", "native"):
-        if backend in report["backends"]:
-            stream[backend] = round(
-                _measure_stream_ingest(
-                    backend, stream_chunk_elems, stream_chunks, repeats
-                ),
-                1,
-            )
+    # Deep-stream ingest on every backend: the native-vs-python acceptance
+    # regime, where sampling has ramped and per-block costs dominate.
+    stream: dict = {
+        backend: round(
+            _measure_stream_ingest(backend, stream_chunk_elems, stream_chunks, repeats),
+            1,
+        )
+        for backend in report["backends"]
+    }
     report["stream_ingest"] = {
         "chunk_elems": stream_chunk_elems,
         "chunks": stream_chunks,
         "elems_per_s": stream,
     }
     criteria: dict = {}
-    if "numpy" in stream and "native" in stream:
-        ratio = stream["native"] / stream["numpy"]
-        criteria["native_stream_ingest_speedup_vs_numpy"] = {
+    if "native" in stream:
+        ratio = stream["native"] / stream["python"]
+        criteria["native_stream_ingest_speedup_vs_python"] = {
             "measured": round(ratio, 2),
             "required": NATIVE_STREAM_SPEEDUP_REQUIRED,
             "pass": ratio >= NATIVE_STREAM_SPEEDUP_REQUIRED,
         }
     else:
-        # Same-host comparison impossible without both backends: record
-        # the criterion as failed rather than silently dropping it.
-        criteria["native_stream_ingest_speedup_vs_numpy"] = {
+        # Same-host comparison impossible without the native backend:
+        # record the criterion as failed rather than silently dropping it.
+        criteria["native_stream_ingest_speedup_vs_python"] = {
             "measured": None,
             "required": NATIVE_STREAM_SPEEDUP_REQUIRED,
             "pass": False,
-            "reason": "requires both the numpy and native backends",
+            "reason": "requires the native backend",
         }
     if "native" in report["backends"]:
         uncached_us = report["backends"]["native"]["query_many_uncached_ms"] * 1_000
@@ -347,26 +347,16 @@ def run_perf_trajectory(
             "pass": False,
             "reason": "requires the native backend",
         }
-    if "numpy" in report["backends"]:
-        ingest = report["backends"]["numpy"]["batch_ingest_elems_per_s"]
-        speedup = ingest / SEED_BATCH_INGEST_ELEMS_PER_S
-        criteria["numpy_batch_ingest_speedup_vs_seed"] = {
-            "measured": round(speedup, 2),
-            "required": 5.0,
-            "pass": speedup >= 5.0,
-        }
-    for name, baseline in PRE_ARENA_BATCH_INGEST_ELEMS_PER_S.items():
-        if name not in report["backends"]:
-            continue
-        rate = report["backends"][name]["batch_ingest_elems_per_s"]
-        arena_speedup = rate / baseline
-        required = ARENA_SPEEDUP_REQUIRED[name]
-        criteria[f"{name}_arena_batch_ingest_speedup_vs_boxed"] = {
-            "measured": round(arena_speedup, 2),
-            "required": required,
-            "pass": arena_speedup >= required,
-        }
     python_stats = report["backends"]["python"]
+    arena_speedup = (
+        python_stats["batch_ingest_elems_per_s"]
+        / PRE_ARENA_PYTHON_BATCH_INGEST_ELEMS_PER_S
+    )
+    criteria["python_arena_batch_ingest_speedup_vs_boxed"] = {
+        "measured": round(arena_speedup, 2),
+        "required": ARENA_SPEEDUP_REQUIRED,
+        "pass": arena_speedup >= ARENA_SPEEDUP_REQUIRED,
+    }
     cache_speedup = (
         python_stats["query_many_uncached_ms"] / python_stats["query_many_cached_ms"]
     )

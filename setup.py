@@ -7,11 +7,11 @@ the ``wheel`` package required by PEP 660 editable installs
 the optional compiled kernel core ``repro.kernels._native``.
 
 The extension is *optional by default*: a host without a C toolchain
-still installs cleanly and runs on the python/numpy backends (the same
-graceful-degrade contract the numpy backend follows).  Set
-``REPRO_REQUIRE_NATIVE=1`` to turn a failed compile into a hard install
-error (used by CI jobs that exist to prove the native path).  Build
-in place for development with::
+still installs cleanly and runs on the dependency-free python backend,
+which gives bit-identical answers.  Set ``REPRO_REQUIRE_NATIVE=1`` to
+turn a failed compile into a hard install error (used by CI jobs that
+exist to prove the native path).  Build in place for development
+with::
 
     python setup.py build_ext --inplace
 """
@@ -45,7 +45,7 @@ class optional_build_ext(build_ext):
 
         warnings.warn(
             f"could not build repro.kernels._native ({exc}); the package "
-            "will fall back to the numpy/python kernel backends "
+            "will fall back to the python kernel backend "
             "(set REPRO_REQUIRE_NATIVE=1 to make this fatal)",
             RuntimeWarning,
             stacklevel=1,

@@ -13,7 +13,7 @@ Codes:
 
 * ``RPL501`` — a ``list[float]``-annotated attribute (instance or
   dataclass field) inside the core/kernels packages; element storage
-  belongs in the arena (``array('d')`` / float64 ndarray).  Deliberate
+  belongs in the arena (``array('d')``).  Deliberate
   O(k) boxed staging must carry a justified suppression.
 * ``RPL502`` — a ``.tolist()`` conversion call; values should stay
   columnar from ingest to query.  The kernel backends' own conversion
@@ -108,8 +108,7 @@ class BufferArenaPass(Pass):
                         "RPL502",
                         "`.tolist()` boxes one PyFloat per element; keep "
                         "values columnar through the kernels (arena views, "
-                        "`array('d')`, ndarray slices), or justify the "
-                        "cold-path conversion",
+                        "`array('d')`), or justify the cold-path conversion",
                     )
 
     @staticmethod
@@ -124,8 +123,8 @@ class BufferArenaPass(Pass):
             node,
             "RPL501",
             "boxed `list[float]` element storage; resident buffer elements "
-            "belong in the columnar arena (`array('d')` / float64 ndarray) "
-            "at 8 bytes each — justify O(k) staging lists explicitly",
+            "belong in the columnar arena (`array('d')`) at 8 bytes each "
+            "— justify O(k) staging lists explicitly",
         )
 
     def _finding(

@@ -268,8 +268,8 @@ class ShardSupervisor:
         scan speeds), so ``checkpoint_dir`` is not consulted here.
 
         :param backend: kernel backend for every pool worker
-            (``"python"``, ``"numpy"``, ``"native"``, or None for the
-            environment default).
+            (``"python"``, ``"native"``, or None for the environment
+            default).
         :param start_method: multiprocessing start method (``"fork"``,
             ``"spawn"``, ``"forkserver"``; None = platform default).
         :param timeout: budget in seconds for the whole supervised run,

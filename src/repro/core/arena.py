@@ -3,10 +3,9 @@
 MRL99's claim is that ``b * k`` *elements* of working memory suffice — so
 the reproduction should pay ``b * k * 8`` *bytes*, not ``b * k`` boxed
 PyObjects.  :class:`BufferArena` preallocates a single contiguous float64
-store through the kernel backend (an ``array('d')`` on the python backend,
-one ``numpy.float64`` ndarray on the numpy one) and hands out zero-copy
-slot views; :class:`~repro.core.buffers.Buffer` is a typed view (slot,
-length, weight, level, state) into it.
+store through the kernel backend (one ``array('d')`` on every backend)
+and hands out zero-copy slot views; :class:`~repro.core.buffers.Buffer`
+is a typed view (slot, length, weight, level, state) into it.
 
 Collapse writing its output back into one input's slot ("Y ... physically
 occupies space corresponding to one of them", Section 3.2) then means the
@@ -123,9 +122,8 @@ class BufferArena:
     def view(self, slot: int, length: int) -> Sequence[float]:
         """Zero-copy view of the first ``length`` elements of a slot.
 
-        A ``memoryview`` on the python backend, an ndarray slice on the
-        numpy one; both are random-access float sequences the merge and
-        selection kernels consume without materialising lists.
+        A ``memoryview`` slice: a random-access float sequence the merge
+        and selection kernels consume without materialising lists.
         """
         self._check_slot(slot)
         if not 0 <= length <= self._capacity:

@@ -145,10 +145,9 @@ class ExtremeValueEstimator:
 
         Random-access inputs are NaN-scanned *before* any mutation, so a
         poisoned batch is rejected atomically (the scalar path's
-        guarantee), then offered to the Bernoulli sampler as one batch —
-        a single vectorised draw on the numpy backend; only the O(p * n)
-        kept elements touch the heap.  One-shot iterators are necessarily
-        checked element-by-element.
+        guarantee), then offered to the Bernoulli sampler as one batch;
+        only the O(p * n) kept elements touch the heap.  One-shot
+        iterators are necessarily checked element-by-element.
         """
         reject_text_batch(values)
         if is_random_access(values):

@@ -59,8 +59,7 @@ class EstimatorSnapshot:
     """Read-only view of an estimator: what a worker 'ships' in Section 6.
 
     :ivar full_buffers: ``(sorted_values, weight)`` pairs of full buffers.
-        The values are columnar copies (``array('d')`` on the python
-        backend, float64 ndarrays on the numpy one), never arena views.
+        The values are columnar ``array('d')`` copies, never arena views.
     :ivar staged: representatives of the buffer currently filling (weight
         :attr:`rate` each).
     :ivar pending: candidate and weight of the incomplete sampling block.
@@ -93,10 +92,10 @@ class UnknownNQuantiles:
     :param seed: seed for the sampling randomness (reproducible runs).
     :param trace: record the collapse tree (diagnostics; costs memory).
     :param allocator: Section 5 buffer-allocation schedule hook.
-    :param backend: kernel backend (``"python"``, ``"numpy"``, an
-        instance, or None to consult ``REPRO_BACKEND``).  The numpy
-        backend vectorises bulk ingest and Collapse; answers follow the
-        same distribution either way.
+    :param backend: kernel backend (``"python"``, ``"native"``, an
+        instance, or None to consult ``REPRO_BACKEND``).  The native
+        backend runs bulk ingest and Collapse in C; answers are
+        bit-identical either way.
 
     Example::
 
@@ -186,11 +185,10 @@ class UnknownNQuantiles:
 
         Produces the same sampling distribution as per-element
         :meth:`update` (uniform choice per block), but touches the RNG
-        once per *block* — one vectorised draw per batch on the numpy
-        backend — and never copies the batch: the NaN gate below is the
-        only full traversal (rejecting the batch atomically), after which
-        the sampler walks index windows of the original sequence and
-        touches only the O(n / rate) chosen representatives.
+        once per *block* and never copies the batch: the NaN gate below
+        is the only full traversal (rejecting the batch atomically), after
+        which the sampler walks index windows of the original sequence
+        and touches only the O(n / rate) chosen representatives.
         """
         reject_text_batch(values)
         values = self._backend.as_batch(values)
@@ -455,15 +453,11 @@ def _columnar(data: Sequence[float]) -> Sequence[float]:
     """Compact columnar copy of a buffer view for a snapshot.
 
     Snapshots must not alias the arena (its slots are rewritten by later
-    collapses), but the copy stays columnar — ``array('d')`` for a
-    memoryview, an ndarray for an ndarray — so shipping a snapshot never
-    boxes its elements.
+    collapses), but the copy stays a columnar ``array('d')``, so shipping
+    a snapshot never boxes its elements.
     """
     if isinstance(data, memoryview):
         copy = array("d")
         copy.frombytes(bytes(data))
         return copy
-    copier = getattr(data, "copy", None)  # ndarray slices (and lists)
-    if copier is not None:
-        return copier()  # type: ignore[no-any-return]
     return array("d", data)

@@ -4,26 +4,22 @@ The paper's pitch is that sampling + buffer-collapse makes quantile
 summaries cheap enough to run inline with heavy scan traffic; the
 asymptotics being settled, the remaining wins are constant factors.  This
 package concentrates the per-element work of the whole library into a
-small kernel surface with three interchangeable backends:
+small kernel surface with two interchangeable backends:
 
 * ``python`` — pure standard library, dependency-free, bit-identical to
   the historical element-at-a-time implementation.  Always available and
-  always the default.
-* ``numpy`` — vectorised kernels (one RNG draw per *batch* of sampling
-  blocks, argsort/cumsum/searchsorted Collapse, ``np.sort`` buffers).
-  Selected with ``backend="numpy"`` on any estimator or via the
-  ``REPRO_BACKEND`` environment variable; optional, and
-  distribution-identical to the python backend (property-tested).
+  always the default; every other backend is tested against it.
 * ``native`` — the compiled C extension (``repro.kernels._native``,
   built by ``setup.py``): the three hot kernels run directly against
   the arena's buffer protocol with no per-element python objects, and
   Collapse and merged views share one branch-free merge network.
-  Selected the same two ways; optional (requires the compiled module),
-  and *bit-identical* to the python backend under a shared seed (it
-  uses the same :class:`random.Random` kind, draw law and merge tie
-  law, down to the cumulative weights).  When the extension is
-  missing, an environment-variable request degrades to numpy (then
-  python) with a warning; an explicit request raises
+  Selected with ``backend="native"`` on any estimator or via the
+  ``REPRO_BACKEND`` environment variable; optional (requires the
+  compiled module), and *bit-identical* to the python backend under a
+  shared seed (it uses the same :class:`random.Random` kind, draw law
+  and merge tie law, down to the cumulative weights).  When the
+  extension is missing, an environment-variable request degrades to
+  python with a warning; an explicit request raises
   :class:`BackendUnavailableError` naming the build remedy.
 
 The kernel surface (see :class:`KernelBackend`):
@@ -39,18 +35,24 @@ The kernel surface (see :class:`KernelBackend`):
    queries between updates (the online-aggregation pattern of Section
    1.5) cost O(log) instead of a full re-merge.
 
-Backends also own RNG construction (:meth:`KernelBackend.make_rng`) so a
-numpy-backed estimator is seed-reproducible and checkpointable with the
-same bit-identical restore-and-replay guarantee as the python one:
-:func:`rng_state_dict` / :func:`rng_from_state` capture and restore either
-a :class:`random.Random` or a ``numpy.random.Generator``.
+Both backends share one RNG kind (:class:`random.Random`, built by
+:meth:`KernelBackend.make_rng`) and one arena storage form
+(``array('d')`` slabs with memoryview slot views), so checkpoints
+restore on either backend and replay bit-identically:
+:func:`rng_state_dict` / :func:`rng_from_state` capture and restore the
+RNG.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import json
 import os
+import random
+import sys
 import warnings
+from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from typing import Any
@@ -145,8 +147,8 @@ class MergedView:
     ``values[i]`` is the i-th element of the merged sort order and
     ``cumweights[i]`` the total weight of elements ``0..i``.  The storage
     is *columnar* and backend-native — plain lists on the python backend,
-    float64/int64 ndarrays on the numpy one — but every answer leaves as a
-    plain ``float``/``int``, so queries are identical by construction
+    float64/int64 memoryviews on the native one — but every answer leaves
+    as a plain ``float``/``int``, so queries are identical by construction
     across backends.
     """
 
@@ -179,9 +181,9 @@ class MergedView:
     def select_many(self, positions: Sequence[int]) -> list[float]:
         """One :meth:`select` per position, order preserved.
 
-        The reference law for the vectorised backends: the native view
-        overrides this with a single C call that walks every position in
-        one pass, and must stay bit-identical to this loop.
+        The reference law: the native view overrides this with a single C
+        call that walks every position in one pass, and must stay
+        bit-identical to this loop.
         """
         return [self.select(position) for position in positions]
 
@@ -234,27 +236,40 @@ def merge_views(a: MergedView, b: MergedView) -> MergedView:
 
 
 # ----------------------------------------------------------------------
-# RNG state capture (backend-polymorphic; used by every checkpoint)
+# RNG state capture (used by every checkpoint)
 # ----------------------------------------------------------------------
 
-def rng_state_dict(rng: Any) -> object:
-    """Restorable state of a backend RNG.
+def rng_state_dict(rng: random.Random) -> object:
+    """Restorable state of a backend RNG: its historical ``getstate()``.
 
-    A :class:`random.Random` serialises to its historical ``getstate()``
-    tuple (so python-backend checkpoints are byte-compatible with earlier
-    releases); a numpy-backed RNG serialises to a tagged dict.
+    Both backends draw from :class:`random.Random`, so the tuple keeps
+    checkpoints byte-compatible with earlier releases and restorable on
+    either backend.
     """
-    if hasattr(rng, "getstate"):
-        return rng.getstate()
-    return rng.state_dict()
+    return rng.getstate()
 
 
-def rng_from_state(state: Any) -> Any:
-    """Rebuild the RNG :func:`rng_state_dict` captured (either kind)."""
+def rng_from_state(state: Any) -> random.Random:
+    """Rebuild the RNG :func:`rng_state_dict` captured.
+
+    Checkpoints taken with the retired numpy backend carry a tagged
+    ``{"kind": "numpy", "state": ...}`` bit-generator state that no
+    backend can replay any more.  Those restore onto a
+    :class:`random.Random` seeded from a SHA-256 of the stored state, so
+    the same bytes always replay the same way, with a warning that the
+    draws no longer follow the original run (the sampling law, and with
+    it the ε guarantee, is unchanged).
+    """
     if isinstance(state, dict) and state.get("kind") == "numpy":
-        from repro.kernels.numpy_backend import NumpyRNG
-
-        return NumpyRNG.from_state_dict(state)
+        warnings.warn(
+            "checkpoint RNG state was taken with the retired numpy backend; "
+            "restoring a python RNG seeded from it, so replay is not "
+            "bit-identical to the original run",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        stored = json.dumps(state.get("state"), sort_keys=True).encode()
+        return random.Random(int.from_bytes(hashlib.sha256(stored).digest(), "big"))
     from repro.sampling.block import restore_rng
 
     return restore_rng(state)
@@ -268,15 +283,18 @@ class KernelBackend:
     """The kernel surface every backend implements.
 
     See :mod:`repro.kernels.python_backend` for the reference
-    implementation and :mod:`repro.kernels.numpy_backend` for the
-    vectorised one.  Instances are stateless singletons; estimators hold
+    implementation and :mod:`repro.kernels.native_backend` for the
+    compiled one.  Instances are stateless singletons; estimators hold
     a reference and pass it down to samplers, buffers, and the engine.
+    The RNG kind, the plain-float conversion and the arena storage form
+    are shared by both backends, so they are implemented once, here.
     """
 
     name = "abstract"
 
-    def make_rng(self, seed: int | None = None) -> Any:
-        raise NotImplementedError
+    def make_rng(self, seed: int | None = None) -> random.Random:
+        """The sampling RNG: :class:`random.Random` on every backend."""
+        return random.Random(seed)
 
     def as_batch(self, values: Sequence[float]) -> Sequence[float]:
         """Normalise a random-access batch for this backend's kernels."""
@@ -288,7 +306,20 @@ class KernelBackend:
 
     def tolist(self, values: Sequence[float]) -> list[float]:
         """Plain-float list view of a kernel result (cheap for lists)."""
-        raise NotImplementedError
+        if isinstance(values, list):
+            return values
+        if isinstance(values, (memoryview, array)):
+            # replint: disable=buffer-arena -- this IS the sanctioned
+            # conversion surface the rest of the data plane routes through
+            return values.tolist()
+        # An ndarray implies its caller imported numpy, so numpy is looked
+        # up, never imported.
+        numpy = sys.modules.get("numpy")
+        if numpy is not None and isinstance(values, numpy.ndarray):
+            # replint: disable=buffer-arena -- as above: the conversion
+            # surface itself
+            return values.tolist()
+        return list(values)
 
     def sort_values(self, values: Sequence[float]) -> Sequence[float]:
         """Sorted storage form of a New buffer's values."""
@@ -306,8 +337,8 @@ class KernelBackend:
 
         Resolves blocks ``values[start : start + n_blocks * rate]``; the
         caller advances its cursor by ``n_blocks * rate``.  The return is
-        backend-native (a list on the python backend, an ndarray on the
-        numpy one) so bulk ingest never boxes.
+        backend-native (a list on the python backend, a float64
+        memoryview on the native one) so bulk ingest never boxes.
         """
         raise NotImplementedError
 
@@ -330,20 +361,19 @@ class KernelBackend:
         """Union of two flattened views (the query-cache merge kernel).
 
         The generic two-pointer reference below is correct for any
-        backend; the numpy backend overrides it with a vectorised
-        concatenate + stable-argsort that never boxes.
+        backend; the native backend overrides it with one C merge.
         """
         return merge_views(a, b)
 
     # -- columnar arena storage (see repro.core.arena) -----------------
-    def alloc_values(self, count: int) -> Any:
+    def alloc_values(self, count: int) -> array[float]:
         """Allocate ``count`` contiguous zeroed float64 element slots.
 
-        The storage form is the backend's choice (``array('d')`` /
-        ndarray); only :meth:`write_slot` and :meth:`slot_view` ever
-        touch it.
+        ``bytes(count * 8)`` is zero-initialised, and 0.0 is the all-zero
+        float64 bit pattern, so fresh slots read as 0.0 everywhere.  Only
+        :meth:`write_slot` and :meth:`slot_view` ever touch the storage.
         """
-        raise NotImplementedError
+        return array("d", bytes(count * 8))
 
     def write_slot(
         self, storage: Any, offset: int, values: Sequence[float], *, sort: bool
@@ -351,21 +381,26 @@ class KernelBackend:
         """Copy ``values`` into ``storage[offset:]``, sorting when asked."""
         raise NotImplementedError
 
-    def slot_view(self, storage: Any, offset: int, length: int) -> Sequence[float]:
-        """Zero-copy random-access view of ``storage[offset:offset+length]``."""
-        raise NotImplementedError
+    def slot_view(self, storage: Any, offset: int, length: int) -> memoryview:
+        """Zero-copy random-access view of ``storage[offset:offset+length]``.
+
+        A memoryview slice of the ``array('d')``: random-access floats
+        with no per-element objects until an element is actually read.
+        """
+        view: memoryview = memoryview(storage)
+        return view[offset : offset + length]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
 def available_backends() -> list[str]:
-    """Names accepted by :func:`get_backend`, in preference order."""
-    names = ["python"]
-    with contextlib.suppress(ImportError):
-        import numpy  # noqa: F401
+    """Names accepted by :func:`get_backend`, in preference order.
 
-        names.append("numpy")
+    Probes only the compiled extension: listing the backends never
+    imports numpy.
+    """
+    names = ["python"]
     with contextlib.suppress(ImportError):
         from repro.kernels import _native  # noqa: F401
 
@@ -377,12 +412,12 @@ def get_backend(backend: "str | KernelBackend | None" = None) -> KernelBackend:
     """Resolve a backend name (or pass an instance through).
 
     ``None`` consults the ``REPRO_BACKEND`` environment variable and
-    falls back to ``python``.  An *explicit* ``"numpy"``/``"native"``
-    raises :class:`BackendUnavailableError` naming the install remedy
-    when the dependency is missing; the same request coming from the
-    environment variable degrades with a warning instead (native falls
-    back to numpy, then python), so deployments can set the variable
-    fleet-wide without breaking hosts that lack the compiled wheel.
+    falls back to ``python``.  An *explicit* ``"native"`` raises
+    :class:`BackendUnavailableError` naming the build remedy when the
+    compiled extension is missing; the same request coming from the
+    environment variable degrades to python with a warning instead, so
+    deployments can set the variable fleet-wide without breaking hosts
+    that lack the compiled wheel.  Any other name is a :class:`ValueError`.
     """
     if isinstance(backend, KernelBackend):
         return backend
@@ -403,36 +438,16 @@ def get_backend(backend: "str | KernelBackend | None" = None) -> KernelBackend:
                     "extension repro.kernels._native is not built; build "
                     "it with `python setup.py build_ext --inplace` (or "
                     "reinstall with `pip install -e .` on a host with a C "
-                    "compiler), or use backend='numpy'/'python'"
+                    "compiler), or use backend='python'"
                 ) from None
-            fallback = "numpy" if "numpy" in available_backends() else "python"
             warnings.warn(
                 f"{BACKEND_ENV_VAR}=native but the compiled extension is "
-                f"not built; falling back to the {fallback} backend",
+                "not built; falling back to the python backend",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return get_backend(fallback)
+            return get_backend("python")
         return NATIVE_BACKEND
-    if name == "numpy":
-        try:
-            from repro.kernels.numpy_backend import NUMPY_BACKEND
-        except ImportError:
-            if explicit:
-                raise BackendUnavailableError(
-                    "backend 'numpy' was requested but numpy is not "
-                    "installed; install numpy or use backend='python'"
-                ) from None
-            warnings.warn(
-                f"{BACKEND_ENV_VAR}=numpy but numpy is not installed; "
-                "falling back to the pure-python backend",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            from repro.kernels.python_backend import PYTHON_BACKEND
-
-            return PYTHON_BACKEND
-        return NUMPY_BACKEND
     raise ValueError(
         f"unknown kernel backend {name!r}; available: {available_backends()}"
     )
@@ -442,13 +457,14 @@ def backend_from_checkpoint(name: "str | None") -> KernelBackend:
     """Resolve a checkpointed backend name, degrading instead of failing.
 
     Checkpoint payloads are backend-agnostic plain floats, so a summary
-    saved under numpy restores correctly on a numpy-free host — it just
-    runs on the python kernels from there on (with a warning).  Absent
-    names (pre-kernel checkpoints) mean python.
+    saved under a backend this host cannot run — native without the
+    compiled extension, or the retired numpy backend — restores correctly
+    on the python kernels from there on (with a warning).  Absent names
+    (pre-kernel checkpoints) mean python.
     """
     try:
         return get_backend(name if name is not None else "python")
-    except BackendUnavailableError:
+    except (BackendUnavailableError, ValueError):
         warnings.warn(
             f"checkpoint was taken with the {name!r} backend, which is "
             "unavailable here; restoring with the python reference backend",

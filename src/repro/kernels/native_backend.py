@@ -6,24 +6,23 @@ over elements — the replint ``native-boundary`` pass (RPL503) enforces
 exactly that, so a python-level per-element loop cannot quietly creep
 back onto the hot path.
 
-Storage contract: identical to the python reference backend — arena
-slabs are ``array('d')``, slot views are memoryview slices, and kernel
-results are memoryviews over C-packed float64 bytes.  That identity is
-what keeps every downstream contract intact for free: v2 checkpoint
-frames hoist the same buffer forms, and ``condense_snapshot`` reads the
-same snapshot columns that pool workers frame and ship.
+Storage contract: the arena slabs (``array('d')``) and slot views
+(memoryview slices) are the ones :class:`~repro.kernels.KernelBackend`
+implements for both backends, and kernel results are memoryviews over
+C-packed float64 bytes.  That identity is what keeps every downstream
+contract intact for free: v2 checkpoint frames hoist the same buffer
+forms, and ``condense_snapshot`` reads the same snapshot columns that
+pool workers frame and ship.
 
 Determinism contract: the RNG is :class:`random.Random` (the reference
 kind) and the C block-sampling kernel calls it once per block with the
 reference draw law ``int(random() * rate)``, so the native backend is
-*bit-identical* to the python backend under a shared seed — stronger
-than the numpy backend's distribution-identity — and checkpoints
-round-trip across the two backends without translation.
+*bit-identical* to the python backend under a shared seed, and
+checkpoints round-trip across the two backends without translation.
 """
 
 from __future__ import annotations
 
-import random
 import sys
 from array import array
 from collections.abc import Sequence
@@ -94,9 +93,6 @@ class NativeBackend(KernelBackend):
 
     name = "native"
 
-    def make_rng(self, seed: int | None = None) -> random.Random:
-        return random.Random(seed)
-
     def as_batch(self, values: Sequence[float]) -> Sequence[float]:
         # Float64 buffers pass through untouched (zero-copy; slicing in
         # the rate==1 sampler path stays zero-copy too); anything else
@@ -111,20 +107,6 @@ class NativeBackend(KernelBackend):
         from repro.kernels.python_backend import PYTHON_BACKEND
 
         return PYTHON_BACKEND.batch_contains_nan(values)
-
-    def tolist(self, values: Sequence[float]) -> list[float]:
-        if isinstance(values, list):
-            return values
-        if isinstance(values, (memoryview, array)):
-            # replint: disable=buffer-arena -- this IS the sanctioned
-            # conversion surface the rest of the data plane routes through
-            return values.tolist()
-        numpy = sys.modules.get("numpy")
-        if numpy is not None and isinstance(values, numpy.ndarray):
-            # replint: disable=buffer-arena -- as above: the conversion
-            # surface itself
-            return values.tolist()
-        return list(values)
 
     def sort_values(self, values: Sequence[float]) -> memoryview:
         return _f64_view(_native.sorted_doubles(values))
@@ -172,20 +154,13 @@ class NativeBackend(KernelBackend):
             *_native.merge_views(a.values, a.cumweights, b.values, b.cumweights)
         )
 
-    # -- columnar arena storage (same forms as the python backend) ------
-    def alloc_values(self, count: int) -> array[float]:
-        return array("d", bytes(count * 8))
-
+    # -- columnar arena storage (the shared array('d') slabs) ------------
     def write_slot(
         self, storage: Any, offset: int, values: Sequence[float], *, sort: bool
     ) -> None:
         # One C call: memmove (or per-element convert for list input) plus
         # an in-place stable radix sort of the written range when asked.
         _native.write_slot(storage, offset, values, sort)
-
-    def slot_view(self, storage: Any, offset: int, length: int) -> memoryview:
-        view: memoryview = memoryview(storage)
-        return view[offset : offset + length]
 
 
 #: The singleton instance estimators share.

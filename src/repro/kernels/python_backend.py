@@ -10,7 +10,6 @@ against this one.
 from __future__ import annotations
 
 import math
-import random
 import sys
 from array import array
 from bisect import bisect_left
@@ -27,9 +26,6 @@ class PythonBackend(KernelBackend):
     """Pure standard-library kernels (the default)."""
 
     name = "python"
-
-    def make_rng(self, seed: int | None = None) -> random.Random:
-        return random.Random(seed)
 
     def as_batch(self, values: Sequence[float]) -> Sequence[float]:
         return values
@@ -50,20 +46,6 @@ class PythonBackend(KernelBackend):
             # that slipped past the door check): fall back to the central
             # self-inequality gate, which accepts any real-typed value.
             return any(is_nan(value) for value in values)
-
-    def tolist(self, values: Sequence[float]) -> list[float]:
-        if isinstance(values, list):
-            return values
-        if isinstance(values, (memoryview, array)):
-            # replint: disable=buffer-arena -- this IS the sanctioned
-            # conversion surface the rest of the data plane routes through
-            return values.tolist()
-        numpy = sys.modules.get("numpy")
-        if numpy is not None and isinstance(values, numpy.ndarray):
-            # replint: disable=buffer-arena -- as above: the conversion
-            # surface itself
-            return values.tolist()
-        return list(values)
 
     def sort_values(self, values: Sequence[float]) -> list[float]:
         return sorted(values)
@@ -216,11 +198,6 @@ class PythonBackend(KernelBackend):
         return MergedView(list(values), cumweights)
 
     # -- columnar arena storage ----------------------------------------
-    def alloc_values(self, count: int) -> array[float]:
-        # bytes(count * 8) is zero-initialised, and 0.0 is the all-zero
-        # float64 bit pattern, so fresh slots read as 0.0 everywhere.
-        return array("d", bytes(count * 8))
-
     def write_slot(
         self, storage: Any, offset: int, values: Sequence[float], *, sort: bool
     ) -> None:
@@ -229,12 +206,6 @@ class PythonBackend(KernelBackend):
         if not (isinstance(values, array) and values.typecode == "d"):
             values = array("d", values)  # e.g. an integer array batch
         storage[offset : offset + len(values)] = values
-
-    def slot_view(self, storage: Any, offset: int, length: int) -> memoryview:
-        # A memoryview slice of the array('d'): random-access floats with
-        # no per-element objects until an element is actually read.
-        view: memoryview = memoryview(storage)
-        return view[offset : offset + length]
 
 
 #: The singleton instance estimators share.

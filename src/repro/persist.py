@@ -114,20 +114,14 @@ _CHECKPOINTABLE = {
 def _keep_columnar(data: Sequence[float]) -> Any:
     """Preserve a float column's packed form on its way into a state dict.
 
-    ``array('d')``, float64 ``memoryview``\\ s (arena slot views), and
-    float64 ndarrays all pass through untouched — :func:`_hoist_floats`
-    hoists each with a single ``tobytes`` memcpy, so checkpointing a
-    snapshot never boxes its floats into PyObjects.  Anything else
-    degrades to a plain list.
+    ``array('d')`` and float64 ``memoryview``\\ s (arena slot views) pass
+    through untouched — :func:`_hoist_floats` hoists each with a single
+    ``tobytes`` memcpy, so checkpointing a snapshot never boxes its
+    floats into PyObjects.  Anything else degrades to a plain list.
     """
     if isinstance(data, array) and data.typecode == "d":
         return data
     if isinstance(data, memoryview) and data.format == "d":
-        return data
-    if (
-        getattr(data, "dtype", None) is not None
-        and str(getattr(data, "dtype")) == "float64"
-    ):
         return data
     return list(data)
 
@@ -237,11 +231,12 @@ def _hoist_floats(value: Any, blob: bytearray) -> Any:
     ``int`` subclass because it is never a float; ``numpy.float64``
     qualifies because it *is* a ``float`` subclass.
 
-    Packed float64 containers — ``array('d')``, one-dimensional
-    ``'d'``-format memoryviews (arena slot views), and float64 ndarrays
-    — hoist as one ``tobytes`` memcpy each, never boxing elements, so
-    checkpointing a snapshot whose buffers are zero-copy arena views
-    runs at memcpy speed.
+    Packed float64 containers — ``array('d')`` and one-dimensional
+    ``'d'``-format memoryviews (arena slot views) — hoist as one
+    ``tobytes`` memcpy each, never boxing elements, so checkpointing a
+    snapshot whose buffers are zero-copy arena views runs at memcpy
+    speed.  Any other array type (a stray ndarray) goes through its
+    ``tolist``.
     """
     if isinstance(value, dict):
         return {key: _hoist_floats(sub, blob) for key, sub in value.items()}
@@ -260,17 +255,6 @@ def _hoist_floats(value: Any, blob: bytearray) -> Any:
             blob += value.tobytes()
             return {_F64_KEY: [offset, value.nbytes // 8]}
         return _hoist_floats(value.tolist(), blob)
-    dtype = getattr(value, "dtype", None)  # ndarray, without importing numpy
-    if (
-        dtype is not None
-        and str(dtype) == "float64"
-        and getattr(value, "ndim", None) == 1
-    ):
-        if sys.byteorder != "little":  # pragma: no cover - BE hosts
-            return _hoist_column(array("d", value.tobytes()), blob)
-        offset = len(blob)
-        blob += value.tobytes()
-        return {_F64_KEY: [offset, int(value.size)]}
     tolist = getattr(value, "tolist", None)
     if tolist is not None and not isinstance(value, (str, bytes, bytearray)):
         return _hoist_floats(tolist(), blob)

@@ -139,18 +139,17 @@ class BlockSampler:
         The workhorse behind the estimators' ``update_batch``: the open
         block (if any) is finished element-by-element, whole interior
         blocks are resolved through the kernel backend's batch kernel
-        (one vectorised draw per batch on the numpy backend, one scalar
-        draw per block on the python one), and the tail opens a new
-        partial block.  Returns the completed blocks' representatives.
+        (one scalar draw per block on either backend), and the tail opens
+        a new partial block.  Returns the completed blocks' representatives.
 
         The return is *backend-native*: when the window starts on a block
         boundary and ends on one (the steady state of bulk ingest, where
         the enclosing estimator sizes windows to whole buffers), the
-        backend kernel's output — an ndarray on the numpy backend, a
-        compact slice for ``rate == 1`` — is passed through untouched, so
-        representatives flow into the arena without a boxed-list detour.
-        A plain list is returned only when the window straddles an open
-        block.
+        backend kernel's output — a float64 memoryview on the native
+        backend, a compact slice for ``rate == 1`` — is passed through
+        untouched, so representatives flow into the arena without a
+        boxed-list detour.  A plain list is returned only when the window
+        straddles an open block.
         """
         if backend is None:
             from repro.kernels.python_backend import PYTHON_BACKEND as backend

@@ -68,27 +68,17 @@ class BernoulliSampler:
     def offer_many(self, values: Sequence[float]) -> list[float]:
         """Offer a whole batch; return the kept elements in stream order.
 
-        Same independent-inclusion law as :meth:`offer`.  With an RNG that
-        supports vectorised draws (the numpy backend's), the whole batch
-        costs one uniform draw; a plain :class:`random.Random` falls back
-        to the per-element loop, bit-identical to repeated :meth:`offer`.
+        Same independent-inclusion law as :meth:`offer`, and bit-identical
+        to repeated :meth:`offer` calls: one uniform draw per element.
         """
         count = len(values)
         if self._probability >= 1.0:
             self._offered += count
             self._kept += count
             return [float(v) for v in values]
-        if hasattr(self._rng, "random_array"):
-            uniforms = self._rng.random_array(count)
-            kept = [
-                float(value)
-                for value, u in zip(values, uniforms)
-                if u < self._probability
-            ]
-        else:
-            rnd = self._rng.random
-            p = self._probability
-            kept = [float(value) for value in values if rnd() < p]
+        rnd = self._rng.random
+        p = self._probability
+        kept = [float(value) for value in values if rnd() < p]
         self._offered += count
         self._kept += len(kept)
         return kept

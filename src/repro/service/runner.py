@@ -53,7 +53,7 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--backend",
-        choices=["python", "numpy", "native"],
+        choices=["python", "native"],
         default=None,
         help=(
             "kernel backend (default: $REPRO_BACKEND if set, else native "

@@ -56,11 +56,6 @@ try:
 except ImportError:  # pragma: no cover - compiled extension not built
     NativeBackend = NativeMergedView = None  # type: ignore[assignment,misc]
 
-try:
-    from repro.kernels.numpy_backend import NumpyBackend
-except ImportError:  # pragma: no cover - numpy-free install
-    NumpyBackend = None  # type: ignore[assignment,misc]
-
 #: The pass registry's name -> implementation contract, pinned so a
 #: renamed or dropped pass is an API break, not a quiet registry change.
 EXPECTED_PASSES = {
@@ -133,11 +128,6 @@ class TestKernelBackendSurface:
         backend = PythonBackend()
         assert backend.name == "python"
 
-    def test_numpy_backend_constructs(self) -> None:
-        if NumpyBackend is None:
-            pytest.skip("numpy not installed")
-        assert NumpyBackend().name == "numpy"
-
     def test_native_backend_constructs(self) -> None:
         if NativeBackend is None:
             pytest.skip("native extension not built")
@@ -146,7 +136,7 @@ class TestKernelBackendSurface:
         assert NativeMergedView is not None
 
     def test_backends_are_distinct_types(self) -> None:
-        kinds = {PythonBackend, NumpyBackend, NativeBackend}
+        kinds = {PythonBackend, NativeBackend}
         assert len([k for k in kinds if k is not None]) >= 1
 
 

@@ -7,7 +7,9 @@ Four layers of protection for the arena refactor:
   captured from the list-backed code on the same deterministic stream.
 * **v1 fixtures** — real checkpoint/snapshot files written by the
   pre-arena (frame version 1) writer must still load, and an estimator
-  restored from one must continue the stream bit-identically.
+  restored from one must continue the stream bit-identically.  A
+  checkpoint written by the retired numpy backend must still load and
+  stay within ε.
 * **v2 frame** — the columnar frame round-trips, shrinks the payload,
   and every corruption mode raises the typed checkpoint errors.
 * **Memory accounting** — ``memory_bytes`` stays within the provable
@@ -34,17 +36,12 @@ from repro.core.operations import collapse_buffers
 from repro.core.parallel import ParallelQuantiles, condense_snapshot, merge_snapshots
 from repro.core.streaming_extreme import StreamingExtremeEstimator
 from repro.core.unknown_n import EstimatorSnapshot, UnknownNQuantiles
-from repro.kernels import get_backend
+from repro.kernels import available_backends, get_backend
+from repro.stats.rank import is_eps_approximate
 
-try:
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised in numpy-free installs
-    np = None
-    HAVE_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+requires_native = pytest.mark.skipif(
+    "native" not in available_backends(), reason="compiled extension not built"
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -128,14 +125,6 @@ class TestBufferArena:
         arena = BufferArena(1, 3)
         arena.write(0, array("d", [3.0, 1.0, 2.0]), sort=True)
         assert list(arena.view(0, 3)) == [1.0, 2.0, 3.0]
-
-    @requires_numpy
-    def test_numpy_backend_storage_is_ndarray(self):
-        arena = BufferArena(2, 4, backend=get_backend("numpy"))
-        arena.write(0, [4.0, 2.0, 3.0, 1.0], sort=True)
-        view = arena.view(0, 4)
-        assert isinstance(view, np.ndarray)
-        assert view.tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_buffer_capacity_must_match_arena(self):
         arena = BufferArena(2, 4)
@@ -252,6 +241,52 @@ class TestV1Fixtures:
         est.update_batch(data[12_000:])
         clone.update_batch(data[12_000:])
         assert clone.query_many(PHIS) == est.query_many(PHIS)
+
+
+class TestNumpyCheckpointFixture:
+    """A checkpoint written by the retired numpy backend.
+
+    ``checkpoint_numpy_unknown_n.bin`` is an ``UnknownNQuantiles(eps=0.05,
+    delta=1e-3, seed=7, backend="numpy")`` fed ``_data(12_000)`` (past
+    sampling onset: rate 2), saved by the release that still had the
+    numpy backend.  Its RNG state is a numpy bit-generator state.
+    """
+
+    PATH = DATA_DIR / "checkpoint_numpy_unknown_n.bin"
+
+    def _load(self) -> UnknownNQuantiles:
+        with pytest.warns(RuntimeWarning) as record:
+            est = persist.load_checkpoint(self.PATH)
+        messages = " | ".join(str(warning.message) for warning in record)
+        assert "restoring with the python reference backend" in messages
+        assert "replay is not bit-identical" in messages
+        assert isinstance(est, UnknownNQuantiles)
+        return est
+
+    def test_loads_with_warning(self):
+        est = self._load()
+        assert est.n == 12_000
+        assert est.backend.name == "python"
+        assert est.sampling_rate == 2
+
+    def test_continued_ingest_stays_within_eps(self):
+        est = self._load()
+        data = _data(40_000)
+        est.update_batch(data[12_000:])
+        assert est.n == 40_000
+        ordered = sorted(data)
+        phis = [i / 20 for i in range(1, 20)]
+        for phi, answer in zip(phis, est.query_many(phis)):
+            assert is_eps_approximate(ordered, answer, phi, est.plan.eps)
+
+    def test_same_bytes_replay_identically(self):
+        data = _data(30_000)
+        answers = []
+        for _ in range(2):
+            est = self._load()
+            est.update_batch(data[12_000:])
+            answers.append(est.query_many(PHIS))
+        assert answers[0] == answers[1]
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +446,7 @@ class TestMemoryBytes:
 
 
 # ----------------------------------------------------------------------
-# Backend equivalence of arena-backed collapse
+# Backend equivalence of arena-backed collapse (python vs native)
 # ----------------------------------------------------------------------
 
 sorted_column = st.lists(
@@ -419,7 +454,7 @@ sorted_column = st.lists(
 ).map(sorted)
 
 
-@requires_numpy
+@requires_native
 class TestArenaCollapseEquivalence:
     @settings(max_examples=50, deadline=None)
     @given(
@@ -431,7 +466,7 @@ class TestArenaCollapseEquivalence:
         self, columns, weights, low_for_even
     ):
         outputs = []
-        for name in ("python", "numpy"):
+        for name in ("python", "native"):
             backend = get_backend(name)
             arena = BufferArena(len(columns), 4, backend=backend)
             buffers = []
@@ -451,10 +486,10 @@ class TestArenaCollapseEquivalence:
     def test_merged_views_agree_across_backends(self, columns, weights):
         inputs = [(col, weights[i]) for i, col in enumerate(columns)]
         py = get_backend("python").merged_view(inputs)
-        vec = get_backend("numpy").merged_view(inputs)
-        assert py.total_weight == vec.total_weight
+        nat = get_backend("native").merged_view(inputs)
+        assert py.total_weight == nat.total_weight
         positions = [1, py.total_weight // 2 + 1, py.total_weight]
-        assert [py.select(p) for p in positions] == [vec.select(p) for p in positions]
+        assert [py.select(p) for p in positions] == [nat.select(p) for p in positions]
 
 
 # ----------------------------------------------------------------------

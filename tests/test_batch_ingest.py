@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.params import Plan
 from repro.core.unknown_n import UnknownNQuantiles
+from repro.kernels import available_backends
 from repro.sampling.block import BlockSampler
 from repro.stats.rank import is_eps_approximate
 
@@ -132,10 +133,13 @@ class TestNumpyPath:
             assert is_eps_approximate(ordered, est.query(phi), phi, PLAN.eps)
 
     def test_ndarray_nan_rejected(self):
+        # Atomic on every backend: nothing of the poisoned batch lands.
         data = self.numpy.array([1.0, float("nan")])
-        est = UnknownNQuantiles(plan=PLAN, seed=16)
-        with pytest.raises(ValueError, match="NaN"):
-            est.extend(data)
+        for backend in available_backends():
+            est = UnknownNQuantiles(plan=PLAN, seed=16, backend=backend)
+            with pytest.raises(ValueError, match="NaN"):
+                est.extend(data)
+            assert est.n == 0
 
     def test_numpy_path_is_much_faster_when_sampling(self):
         import time

@@ -2,15 +2,15 @@
 
 Layers of confidence, mirroring ``test_kernels.py``:
 
-* **Registry + degrade semantics** — ``"native"`` appears in
-  :func:`available_backends` iff the extension is built; an explicit
-  request on a build-free host raises :class:`BackendUnavailableError`
-  naming the build remedy, the environment variable degrades (to numpy,
-  then python) with a warning, and checkpoints degrade with a warning.
-* **Property-tested equivalence matrix** — hypothesis drives the same
-  weighted buffers and batches through native × python × numpy.  Against
-  python the native backend is held to the *stronger* contract: with a
-  shared ``random.Random`` every kernel is bit-identical (same draw law
+* **Registry + degrade semantics** — :func:`available_backends` is
+  exactly ``["python", "native"]`` with the extension built and
+  ``["python"]`` without it; an explicit request on a build-free host
+  raises :class:`BackendUnavailableError` naming the build remedy, the
+  environment variable degrades to python with a warning, and
+  checkpoints degrade with a warning.
+* **Property-tested equivalence** — hypothesis drives the same weighted
+  buffers and batches through native and python: with a shared
+  ``random.Random`` every kernel is bit-identical (same draw law
   ``int(random() * rate)``, same tie law in the weighted merge).  The
   merge network is driven wider: up to 12 runs and past 64, with
   duplicates, signed zeros and zero weights shared across runs.
@@ -20,7 +20,7 @@ Layers of confidence, mirroring ``test_kernels.py``:
   the compiled kernels and replays bit-identically.
 * **Native end-to-end** — accuracy, zero-copy float64 ingest, atomic NaN
   rejection, persist framing, the uncached ``query_many`` rank walk, and
-  no numpy import on the native path.
+  no numpy import on the native path or the service's backend probe.
 * **The polling loop** — ``query_many`` after every ``update_batch``,
   checked against exact ranks on python and native, and a mid-buffer
   checkpoint replayed bit-identically on and across both backends.
@@ -86,7 +86,7 @@ def _without_native(monkeypatch):
 class TestNativeRegistry:
     @requires_native
     def test_native_listed_when_built(self):
-        assert "native" in available_backends()
+        assert available_backends() == ["python", "native"]
 
     @requires_native
     def test_explicit_native_resolves(self):
@@ -100,24 +100,18 @@ class TestNativeRegistry:
 
     def test_native_absent_from_listing_when_missing(self, monkeypatch):
         _without_native(monkeypatch)
-        assert "native" not in available_backends()
+        assert available_backends() == ["python"]
 
     def test_explicit_native_raises_with_build_remedy(self, monkeypatch):
         _without_native(monkeypatch)
         with pytest.raises(BackendUnavailableError, match="build_ext"):
             get_backend("native")
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-    def test_env_native_degrades_to_numpy_with_warning(self, monkeypatch):
-        _without_native(monkeypatch)
-        monkeypatch.setenv(BACKEND_ENV_VAR, "native")
-        with pytest.warns(RuntimeWarning, match="falling back to the numpy"):
-            assert get_backend().name == "numpy"
-
     def test_env_native_degrades_to_python_without_numpy(self, monkeypatch):
+        # The one fallback step: native -> python, whether or not numpy
+        # is importable (here it is not).
         _without_native(monkeypatch)
         monkeypatch.setitem(sys.modules, "numpy", None)
-        monkeypatch.setitem(sys.modules, "repro.kernels.numpy_backend", None)
         monkeypatch.setenv(BACKEND_ENV_VAR, "native")
         with pytest.warns(RuntimeWarning, match="falling back to the python"):
             assert get_backend() is PYTHON_BACKEND
@@ -146,7 +140,7 @@ class TestNativeRegistry:
 
 
 # ----------------------------------------------------------------------
-# Equivalence matrix: native × python × numpy (property-tested)
+# Equivalence matrix: native × python (property-tested)
 # ----------------------------------------------------------------------
 
 sorted_buffer = st.lists(
@@ -157,16 +151,7 @@ weighted_buffers = st.lists(
 )
 
 
-@pytest.fixture(
-    scope="module",
-    params=[
-        pytest.param("native", marks=requires_native),
-        pytest.param(
-            "numpy",
-            marks=pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed"),
-        ),
-    ]
-)
+@pytest.fixture(scope="module", params=[pytest.param("native", marks=requires_native)])
 def other(request):
     """The non-reference side of the equivalence matrix."""
     return get_backend(request.param)
@@ -507,7 +492,7 @@ class TestCrossBackendCheckpoints:
     def test_python_checkpoint_replays_on_native_host(self):
         """python → native: upgrade a reference checkpoint, same answers."""
         first, rest = self._streams(31)
-        live = UnknownNQuantiles(eps=0.05, delta=0.01, seed=9)  # python
+        live = UnknownNQuantiles(eps=0.05, delta=0.01, seed=9, backend="python")
         live.update_batch(first)
         state = json.loads(json.dumps(live.to_state_dict()))
         assert state["backend"] == "python"
@@ -568,6 +553,28 @@ class TestNativeEndToEnd:
             "backend='native')\n"
             "est.update_batch(array('d', range(10_000)))\n"
             "est.query_many([0.5])\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        package = os.path.dirname(os.path.dirname(kernels_pkg.__file__))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+        env.pop(BACKEND_ENV_VAR, None)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert done.stdout.strip() == "False"
+
+    def test_service_backend_probe_does_not_import_numpy(self):
+        # `repro serve` workers started without --backend probe for the
+        # extension to pick native; that probe must not load numpy, whose
+        # import would cost every worker its start-up time and memory.
+        import os
+        import subprocess
+
+        code = (
+            "import sys\n"
+            "from repro.service.server import resolve_backend\n"
+            "resolve_backend(None)\n"
             "print('numpy' in sys.modules)\n"
         )
         package = os.path.dirname(os.path.dirname(kernels_pkg.__file__))

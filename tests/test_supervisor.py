@@ -325,7 +325,7 @@ class TestResolveBackend:
         assert resolve_backend("python") == "python"
 
     def test_env_var_passes_through_for_degrade_semantics(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        monkeypatch.setenv("REPRO_BACKEND", "native")
         assert resolve_backend(None) is None
 
     def test_defaults_to_native_when_available(self, monkeypatch):
