@@ -37,15 +37,6 @@ Quickstart::
 """
 
 from repro.audit import AuditReport, audit_failure_rate, audit_run
-from repro.cluster import (
-    FaultPlan,
-    ShardLostError,
-    ShardSupervisor,
-    ShipTimeoutError,
-    SupervisorResult,
-    SupervisorStats,
-    partition_stream,
-)
 from repro.core.extreme import ExtremeValueEstimator
 from repro.core.framework import CollapseEngine
 from repro.core.known_n import KnownNQuantiles
@@ -109,13 +100,6 @@ __all__ = [
     "CheckpointVersionError",
     "save_checkpoint",
     "load_checkpoint",
-    "FaultPlan",
-    "ShardSupervisor",
-    "SupervisorResult",
-    "SupervisorStats",
-    "ShardLostError",
-    "ShipTimeoutError",
-    "partition_stream",
     "CollapseEngine",
     "CollapsePolicy",
     "MRLPolicy",

@@ -54,7 +54,6 @@ class ApiHygienePass(Pass):
             ["repro.core", "repro.stats"],
             ["repro.baselines", "repro.persist", "repro.db", "repro.audit"],
             ["repro.runtime"],
-            ["repro.cluster"],
             ["repro.service"],
         ],
     }

@@ -77,7 +77,7 @@ class SpawnSafetyPass(Pass):
         "RPL204": "process args built inline instead of pre-built plain data",
     }
     default_options: dict[str, Any] = {
-        "packages": ["repro.runtime", "repro.cluster"],
+        "packages": ["repro.runtime"],
         "payload-suffixes": ["Spec", "Shipment", "Payload"],
     }
 

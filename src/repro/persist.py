@@ -31,7 +31,8 @@ with three layers:
   crash mid-write leaves either the old checkpoint or the new one — never
   a torn file.  :func:`load_checkpoint` reads and verifies.
 
-The crash-recovery runtime in :mod:`repro.cluster` is built on this layer.
+The serving tier's checkpoint chains (:mod:`repro.service.tenants`) are
+built on this layer.
 """
 
 from __future__ import annotations

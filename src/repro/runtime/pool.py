@@ -109,13 +109,16 @@ _SURVIVED_SIGKILL = "survived SIGKILL"
 
 
 class PoolWorkerError(RuntimeError):
-    """A strict-mode pool lost one or more workers.
+    """A pool run lost workers it could not answer without.
 
-    Carries the lost worker ids and their exit codes so callers can
-    distinguish an injected fault from an OOM kill from a bug, the
-    ``TypeName: message`` of every item that raised inside a worker
-    (``errors``), plus any workers that had to be escalated past SIGTERM
-    at shutdown (``leaked``: worker id -> what it took to reap them).
+    Raised by a strict run that lost any worker, and by a degraded run
+    that lost every worker holding data.  Carries the lost worker ids and
+    their exit codes so callers can distinguish an injected fault from an
+    OOM kill from a bug, the ``TypeName: message`` of every item that
+    raised inside a worker (``errors``), plus any workers that had to be
+    escalated past SIGTERM at shutdown (``leaked``: worker id -> what it
+    took to reap them).  ``survivors`` says whether any worker shipped
+    data, which decides the remedy the message suggests.
     """
 
     def __init__(
@@ -123,6 +126,8 @@ class PoolWorkerError(RuntimeError):
         lost: dict[int, int | None],
         leaked: dict[int, str] | None = None,
         errors: dict[int, str] | None = None,
+        *,
+        survivors: bool = True,
     ) -> None:
         self.lost = dict(lost)
         self.leaked = dict(leaked or {})
@@ -131,10 +136,16 @@ class PoolWorkerError(RuntimeError):
             f"worker {wid} ({self.errors.get(wid) or f'exit code {code}'})"
             for wid, code in sorted(lost.items())
         )
+        remedy = (
+            "pass strict=False to merge the survivors into a partial answer "
+            "with a MergeReport"
+            if survivors
+            else "a degraded merge needs at least one surviving shard with "
+            "data, and none survived"
+        )
         message = (
             f"{len(self.lost)} pool worker(s) failed without shipping a "
-            f"snapshot: {causes}; pass strict=False to merge the survivors "
-            "into a partial answer with a MergeReport"
+            f"snapshot: {causes}; {remedy}"
             if self.lost
             else "pool shutdown had to escalate past SIGTERM"
         )
@@ -437,9 +448,10 @@ class PersistentPool:
     each call deals one work item to each already-running worker and
     merges the framed snapshots they ship.
     Workers that died (crash, injected fault, timeout) are respawned at
-    the next dispatch, which is what the supervisor's retry rounds lean
-    on.  Always :meth:`close` (or use ``with``): that is what reaps the
-    processes.
+    the next dispatch, so a caller retries a failed run by calling
+    :meth:`run_file` again; under a fixed seed the re-run is
+    bit-identical to one that never failed.  Always :meth:`close` (or use
+    ``with``): that is what reaps the processes.
 
     :param num_workers: worker processes (= shards per run).
     :param eps, delta: accuracy contract (or pass ``plan``).
@@ -715,13 +727,12 @@ class PersistentPool:
         seed: int | None,
         timeout: float | None,
         fail_after: dict[int, int] | None,
-        worker_ids: Iterable[int] | None = None,
     ) -> _Round:
         expected_n = count_floats(path)
         ranges = plan_byte_ranges(path, self._num_workers)
         items = {
             wid: ((fail_after or {}).get(wid), os.fspath(path), *ranges[wid])
-            for wid in (range(self._num_workers) if worker_ids is None else worker_ids)
+            for wid in range(self._num_workers)
         }
         round_ = self._round(self._seed if seed is None else seed, items, timeout)
         round_.expected_n = expected_n
@@ -760,12 +771,11 @@ class PersistentPool:
         reports = [round_.reports[wid] for wid in workers]
         lost = {report.worker_id: report.exitcode for report in reports if report.lost}
         errors = {report.worker_id: report.error for report in reports if report.error}
-        if lost and strict:
-            raise PoolWorkerError(lost, leaked, errors)
-        if lost and not any(snap is not None and snap.n > 0 for snap in snapshots):
-            # Degraded mode can survive lost shards, but not losing them
-            # all: with no surviving data there is no partial answer.
-            raise PoolWorkerError(lost, leaked, errors)
+        # Degraded mode can survive lost shards, but not losing them all:
+        # with no surviving data there is no partial answer to merge.
+        survivors = any(snap is not None and snap.n > 0 for snap in snapshots)
+        if lost and (strict or not survivors):
+            raise PoolWorkerError(lost, leaked, errors, survivors=survivors)
         if strict and any(_SURVIVED_SIGKILL in what for what in leaked.values()):
             # Every result arrived, but a worker outlived SIGKILL: that is
             # a real process leak, and strict callers asked to hear of it.
@@ -801,26 +811,6 @@ class PersistentPool:
         )
 
     # -- public runs ---------------------------------------------------
-    def run_file_shards(
-        self,
-        path: str | os.PathLike[str],
-        worker_ids: Iterable[int],
-        *,
-        seed: int | None = None,
-        timeout: float | None = None,
-        fail_after: dict[int, int] | None = None,
-    ) -> tuple[dict[int, EstimatorSnapshot], dict[int, WorkerReport]]:
-        """One dispatch round over a subset of the file's shards; no merge.
-
-        The building block :class:`repro.cluster.ShardSupervisor` retries:
-        worker ``w`` scans slice ``w`` of :func:`plan_byte_ranges` under
-        ``seed_for_worker(seed, w)``, so a retried shard's snapshot is
-        bit-identical to one that never failed.  Returns the verified
-        snapshots of the shards that shipped and a report per shard.
-        """
-        round_ = self._file_round(path, seed, timeout, fail_after, worker_ids)
-        return round_.snapshots, round_.reports
-
     def run_file(
         self,
         path: str | os.PathLike[str],

@@ -1,8 +1,8 @@
 """Deterministic chaos injection for the serving tier.
 
-The same philosophy as :class:`repro.cluster.faults.FaultPlan`: a chaos
-plan is a *script*, keyed by deterministic sequence numbers rather than
-timers or randomness, so every chaos test replays identically and the
+The same philosophy as the pool's ``fail_after``: a chaos plan is a
+*script*, keyed by deterministic sequence numbers rather than timers or
+randomness, so every chaos test replays identically and the
 assertion can be exact ("request 3 sees 50 ms of injected latency; the
 connection serving request 5 is reset; the apply of batch 2 crashes")
 instead of probabilistic.

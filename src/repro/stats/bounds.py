@@ -123,7 +123,9 @@ def kl_bernoulli(p: float, q: float) -> float:
         if q == 1.0:
             return math.inf
         div += (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
-    return div
+    # The two terms cancel to within rounding when q is next to p; the
+    # divergence itself is never negative.
+    return max(div, 0.0)
 
 
 def stein_failure_bound(s: int, phi: float, eps: float) -> float:

@@ -135,7 +135,7 @@ class TestSpawnSafetyPass:
     def test_bound_method_target_flagged(self, tmp_path, config):
         bad = write_module(
             tmp_path,
-            "repro.cluster.bad",
+            "repro.runtime.bad",
             "__all__ = []\nimport multiprocessing as mp\n\n\ndef go(engine):\n"
             "    mp.Process(target=engine.run).start()\n",
         )

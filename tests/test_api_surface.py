@@ -45,6 +45,7 @@ from repro.audit import CheckpointResult
 from repro.core.tree import TraceNode
 from repro.db import WindowReport
 from repro.kernels.python_backend import PythonBackend
+from repro.runtime import WorkerReport
 from repro.runtime.pool import WorkerSpec
 from repro.service import ERROR_CODES, OPS, IngestApplyError, ShuttingDown
 from repro.service.metrics import Counter, Gauge, Histogram
@@ -146,6 +147,15 @@ class TestRuntimeSurface:
 
     def test_shard_shipment_is_plain_data(self) -> None:
         assert dataclasses.is_dataclass(ShardShipment)
+
+    def test_worker_report_starts_clean(self) -> None:
+        # The element type of PoolResult.workers: a fresh report is a
+        # live worker that has shipped nothing yet.
+        report = WorkerReport(3)
+        assert report.worker_id == 3
+        assert (report.n, report.shipped_bytes) == (0, 0)
+        assert not report.lost
+        assert report.exitcode is None and report.error is None
 
 
 class TestServiceSurface:

@@ -23,6 +23,25 @@ PLAN = Plan(
 )
 
 
+#: The small plan the degraded-merge tests below were written against.
+TINY_PLAN = Plan(
+    eps=0.05,
+    delta=0.01,
+    b=3,
+    k=50,
+    h=2,
+    alpha=0.5,
+    leaves_before_sampling=6,
+    leaves_per_level=3,
+    policy_name="mrl",
+)
+
+
+def _stream(n: int, seed: int = 0) -> list[float]:
+    rng = random.Random(seed)
+    return [rng.random() for _ in range(n)]
+
+
 def make_shards(shard_data, seeds):
     shards = []
     for data, seed in zip(shard_data, seeds):
@@ -195,3 +214,45 @@ class TestShipmentAccounting:
         clone = MergedSummary.from_state_dict(state)
         assert clone.report.shipments == ()
         assert clone.query(0.5) == merged.query(0.5)
+
+
+class TestStrictness:
+    def test_strict_merge_refuses_lost_shards(self):
+        est = UnknownNQuantiles(plan=TINY_PLAN, seed=1)
+        est.extend(_stream(1_000, seed=9))
+        with pytest.raises(ValueError, match="strict=False"):
+            merge_snapshots([est.snapshot(), None], seed=0)
+
+
+class TestDegradedMergeMath:
+    def test_expected_n_estimated_from_survivors(self):
+        """Without expected_n, lost load is estimated as the mean survivor
+        load — exact under even partitioning."""
+        shards = [UnknownNQuantiles(plan=TINY_PLAN, seed=i) for i in range(4)]
+        data = _stream(8_000, seed=10)
+        for index, value in enumerate(data):
+            shards[index % 4].update(value)
+        snapshots = [s.snapshot() for s in shards]
+        snapshots[3] = None
+        merged = merge_snapshots(snapshots, seed=0, strict=False)
+        assert merged.report.shards_lost == (3,)
+        assert merged.report.weight_coverage == pytest.approx(0.75)
+        assert merged.report.effective_eps(0.05) == pytest.approx(
+            0.05 * 0.75 + 0.25
+        )
+
+    def test_full_merge_reports_complete(self):
+        shards = [UnknownNQuantiles(plan=TINY_PLAN, seed=i) for i in range(3)]
+        for index, value in enumerate(_stream(3_000, seed=11)):
+            shards[index % 3].update(value)
+        merged = merge_snapshots([s.snapshot() for s in shards], seed=0)
+        assert merged.report.complete
+        assert merged.report.effective_eps(0.05) == pytest.approx(0.05)
+
+    def test_all_shards_lost_refused_even_degraded(self):
+        """Zero weight_coverage has no partial answer to give: a degraded
+        merge over nothing must raise cleanly, never fabricate."""
+        with pytest.raises(ValueError, match="no snapshot contains any data"):
+            merge_snapshots(
+                [None, None, None], seed=0, strict=False, expected_n=3_000
+            )

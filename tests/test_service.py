@@ -377,6 +377,7 @@ class TestTenantRegistry:
         with pytest.raises(ValueError, match="already planned"):
             registry.get_or_create("t", eps=0.05)
 
+    @pytest.mark.smoke
     def test_flush_and_restore_bit_identical(self, tmp_path):
         registry = TenantRegistry(tmp_path, master_seed=3)
         state = registry.get_or_create("t")
@@ -393,6 +394,7 @@ class TestTenantRegistry:
         assert restored.estimator.to_state_dict() == before
         assert restored.last_good_snapshot is not None
 
+    @pytest.mark.smoke
     def test_torn_latest_falls_back_a_generation(self, tmp_path):
         registry = TenantRegistry(tmp_path, master_seed=3)
         state = registry.get_or_create("t")
